@@ -220,8 +220,12 @@ impl Engine {
     pub fn push(&mut self, event: EventRef) -> Vec<Record> {
         self.pending.push(event);
         if self.pending.len() >= self.batch_size {
-            let batch = std::mem::take(&mut self.pending);
-            self.process_batch(&batch)
+            let mut batch = std::mem::take(&mut self.pending);
+            let out = self.process_batch(&batch);
+            // Keep the pending buffer's allocation for the next batch.
+            batch.clear();
+            self.pending = batch;
+            out
         } else {
             Vec::new()
         }
@@ -259,12 +263,11 @@ impl Engine {
         batch: &EventBatch,
         shared: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
-        let pending = std::mem::take(&mut self.pending);
-        for e in &pending {
-            self.route(e);
-        }
+        self.route_pending();
         self.route_columns(batch, None, shared);
-        self.round()
+        let mut out = Vec::new();
+        self.round(&mut out);
+        out
     }
 
     /// Selection-vector variant of [`Engine::push_columns`]: routes only the
@@ -287,12 +290,32 @@ impl Engine {
         rows: &[u32],
         shared: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
+        let mut out = Vec::new();
+        self.push_rows_into(batch, rows, shared, &mut out);
+        out
+    }
+
+    /// [`Engine::push_rows_shared`], appending the round's matches to
+    /// `out` (a partitioned engine collects every partition's matches into
+    /// one vector this way).
+    pub(crate) fn push_rows_into(
+        &mut self,
+        batch: &EventBatch,
+        rows: &[u32],
+        shared: Option<&mut SharedPredIndex>,
+        out: &mut Vec<Record>,
+    ) {
+        self.route_pending();
+        self.route_columns(batch, Some(rows), shared);
+        self.round(out);
+    }
+
+    /// Routes events left pending by the push-one API ahead of a batch.
+    fn route_pending(&mut self) {
         let pending = std::mem::take(&mut self.pending);
         for e in &pending {
             self.route(e);
         }
-        self.route_columns(batch, Some(rows), shared);
-        self.round()
     }
 
     /// Flushes any buffered events and forces a final assembly round.
@@ -305,7 +328,9 @@ impl Engine {
         for e in events {
             self.route(e);
         }
-        self.round()
+        let mut out = Vec::new();
+        self.round(&mut out);
+        out
     }
 
     /// Column-wise intake of one batch (§4.1 push-down over columns).
@@ -581,23 +606,24 @@ impl Engine {
     }
 
     /// One round: idle if no trigger instance is waiting, otherwise compute
-    /// the EAT and assemble.
-    fn round(&mut self) -> Vec<Record> {
+    /// the EAT and assemble, appending the matches to `out`.
+    fn round(&mut self, out: &mut Vec<Record>) {
         let Some(earliest) = self.earliest_trigger_end() else {
             self.metrics.idle_rounds += 1;
-            return Vec::new();
+            return;
         };
         let eat = earliest.saturating_sub(self.plan.window);
         self.metrics.assembly_rounds += 1;
         let start = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let out = self.plan.assemble(eat);
-        self.metrics.matches_out += out.len() as u64;
+        let before = out.len();
+        self.plan.assemble(eat, out);
+        let matches = (out.len() - before) as u64;
+        self.metrics.matches_out += matches;
         self.metrics.sample_memory(self.plan.total_bytes());
         if let (Some(obs), Some(start)) = (&self.obs, start) {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            obs.record_round(self.watermark, ns, out.len() as u64);
+            obs.record_round(self.watermark, ns, matches);
         }
-        out
     }
 
     /// Earliest unconsumed end timestamp across trigger-class leaf buffers

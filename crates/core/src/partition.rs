@@ -109,6 +109,9 @@ pub struct PartitionedEngine {
     /// (existing and future); see [`Engine::set_shared_slots`].
     // zlint::allow(snapshot, "wiring re-stamped via set_shared_slots after restore, not checkpoint state")
     shared_slots: Option<Arc<Vec<u32>>>,
+    /// Per-batch grouping of rows by key.
+    // zlint::allow(snapshot, "scratch space: rebuilt empty, repopulated per batch")
+    groups: KeyGroups,
     events_in: u64,
     dropped: u64,
     /// Instrument template cloned into each partition engine (cells are
@@ -143,6 +146,7 @@ impl PartitionedEngine {
             partitions: HashMap::new(),
             intake_mode: crate::engine::IntakeMode::default(),
             shared_slots: None,
+            groups: KeyGroups::default(),
             events_in: 0,
             dropped: 0,
             obs: None,
@@ -202,31 +206,28 @@ impl PartitionedEngine {
     /// first-seen-key partition order), so it is deterministic for a given
     /// input stream.
     pub fn push_batch(&mut self, events: &[EventRef]) -> Vec<Record> {
-        // Group by key, preserving both intra-key event order and the
-        // first-seen order of keys (HashMap iteration order would be
-        // nondeterministic).
-        let mut order: Vec<HashableValue> = Vec::new();
-        let mut groups: HashMap<HashableValue, Vec<EventRef>> = HashMap::new();
-        for event in events {
-            self.events_in += 1;
-            let Ok(value) = event.value_by_name(&self.field) else {
-                self.dropped += 1;
-                continue;
-            };
-            let key = value.hash_key();
-            match groups.get_mut(&key) {
-                Some(group) => group.push(event.clone()),
-                None => {
-                    order.push(key);
-                    groups.insert(key, vec![event.clone()]);
+        self.events_in += events.len() as u64;
+        let mut groups = std::mem::take(&mut self.groups);
+        let field = &self.field;
+        let mut dropped = 0u64;
+        groups.group(events.iter().zip(0u32..).filter_map(|(event, i)| {
+            match event.value_by_name(field) {
+                Ok(value) => Some((i, value.hash_key())),
+                Err(_) => {
+                    dropped += 1;
+                    None
                 }
             }
-        }
+        }));
+        self.dropped += dropped;
         let mut out = Vec::new();
-        for key in order {
-            let group = groups.remove(&key).expect("grouped above");
-            out.extend(self.partition_mut(key).push_batch(&group));
+        let mut group_events = Vec::new();
+        for (g, &key) in groups.keys.iter().enumerate() {
+            group_events.clear();
+            group_events.extend(groups.rows(g).iter().map(|&i| events[i as usize].clone()));
+            out.extend(self.partition_mut(key).push_batch(&group_events));
         }
+        self.groups = groups;
         // Stable: ties keep first-seen-key partition order.
         out.sort_by_key(Record::end_ts);
         out
@@ -288,7 +289,8 @@ impl PartitionedEngine {
     /// each partition its row selection (forcing a round per receiving
     /// partition), and emit in end-timestamp order. Groups hold 4-byte row
     /// indices, not event handles — the batch stays shared storage all the
-    /// way into each partition's [`Engine::push_rows`].
+    /// way into each partition's [`Engine::push_rows`] — and live in
+    /// scratch reused from batch to batch.
     fn push_selected(
         &mut self,
         batch: &EventBatch,
@@ -297,27 +299,18 @@ impl PartitionedEngine {
         mut shared: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
         let col = batch.column(field_idx);
-        let mut order: Vec<HashableValue> = Vec::new();
-        let mut groups: HashMap<HashableValue, Vec<u32>> = HashMap::new();
-        for row in rows {
-            let key = col.value(row as usize).hash_key();
-            match groups.get_mut(&key) {
-                Some(group) => group.push(row),
-                None => {
-                    order.push(key);
-                    groups.insert(key, vec![row]);
-                }
-            }
-        }
+        let mut groups = std::mem::take(&mut self.groups);
+        groups.group(rows.map(|row| (row, col.value(row as usize).hash_key())));
         let mut out = Vec::new();
-        for key in order {
-            let group = groups.remove(&key).expect("grouped above");
-            out.extend(self.partition_mut(key).push_rows_shared(
+        for (g, &key) in groups.keys.iter().enumerate() {
+            self.partition_mut(key).push_rows_into(
                 batch,
-                &group,
+                groups.rows(g),
                 shared.as_deref_mut(),
-            ));
+                &mut out,
+            );
         }
+        self.groups = groups;
         out.sort_by_key(Record::end_ts);
         out
     }
@@ -441,6 +434,64 @@ impl Snapshot for PartitionedEngine {
             w.hashable(key);
             self.partitions[key].write_snapshot(w);
         }
+    }
+}
+
+/// Rows grouped by partition key, reused from batch to batch: a counting
+/// sort of the input into one row vector with a contiguous range per key.
+#[derive(Debug, Default)]
+struct KeyGroups {
+    /// Group of each key seen in the current batch.
+    group_of: HashMap<HashableValue, u32>,
+    /// The batch's keys in first-seen order; group `g` is `keys[g]`.
+    keys: Vec<HashableValue>,
+    /// Input rows tagged with their group, in input order.
+    tagged: Vec<(u32, u32)>,
+    /// End of each group's range in `rows`.
+    ends: Vec<u32>,
+    /// Input rows grouped by key, input order within each group.
+    rows: Vec<u32>,
+}
+
+impl KeyGroups {
+    /// Groups `(row, key)` pairs, replacing the previous batch's groups.
+    fn group(&mut self, input: impl Iterator<Item = (u32, HashableValue)>) {
+        self.group_of.clear();
+        self.keys.clear();
+        self.tagged.clear();
+        for (row, key) in input {
+            let keys = &mut self.keys;
+            let g = *self.group_of.entry(key).or_insert_with(|| {
+                keys.push(key);
+                (keys.len() - 1) as u32
+            });
+            self.tagged.push((row, g));
+        }
+        // Counting sort: sizes, then exclusive prefix sums as write cursors;
+        // after the scatter each cursor sits at its group's end.
+        self.ends.clear();
+        self.ends.resize(self.keys.len(), 0);
+        for &(_, g) in &self.tagged {
+            self.ends[g as usize] += 1;
+        }
+        let mut start = 0;
+        for end in &mut self.ends {
+            let size = *end;
+            *end = start;
+            start += size;
+        }
+        self.rows.resize(self.tagged.len(), 0);
+        for &(row, g) in &self.tagged {
+            let cursor = &mut self.ends[g as usize];
+            self.rows[*cursor as usize] = row;
+            *cursor += 1;
+        }
+    }
+
+    /// The rows of group `g`, in input order.
+    fn rows(&self, g: usize) -> &[u32] {
+        let start = if g == 0 { 0 } else { self.ends[g - 1] as usize };
+        &self.rows[start..self.ends[g] as usize]
     }
 }
 

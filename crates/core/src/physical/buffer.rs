@@ -14,6 +14,12 @@
 //! output. Internal buffers in *drain* roles (right child of SEQ, inputs of
 //! DISJ, the KSEQ end buffer, the root) are physically cleared after
 //! consumption, matching Algorithm 1's `Clear RBuf`.
+//!
+//! Every record also has a **sequence position**, `base() + index`, which
+//! removing records from the front never changes, and which is never
+//! reused. Hash indexes (§5.2.2) key on positions, which is what lets them
+//! survive front pruning. An interior compaction (the only removal that is
+//! not from the front) gives every survivor a fresh position instead.
 
 use std::collections::VecDeque;
 
@@ -27,6 +33,8 @@ pub struct Buffer {
     consumed: usize,
     /// Logical memory accounting (bytes) for Tables 3/5.
     bytes: usize,
+    /// Sequence position of `recs[0]`.
+    base: u64,
 }
 
 impl Buffer {
@@ -68,6 +76,13 @@ impl Buffer {
         &self.recs[idx]
     }
 
+    /// Sequence position of the record at index 0. The record at `idx` has
+    /// position `base() + idx` until it is removed or renumbered; either
+    /// way, its old position falls below `base()`.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
     /// Index of the first unconsumed record.
     pub fn consumed(&self) -> usize {
         self.consumed
@@ -105,12 +120,14 @@ impl Buffer {
         self.consumed = consumed;
     }
 
-    /// Removes and returns every stored record (the engine draining the
-    /// root's output each round).
-    pub fn take_all(&mut self) -> Vec<Record> {
+    /// Moves every stored record onto the end of `out` (the engine draining
+    /// the root's output each round). The buffer keeps its allocation for
+    /// the next round.
+    pub fn drain_into(&mut self, out: &mut Vec<Record>) {
+        self.base += self.recs.len() as u64;
         self.consumed = 0;
         self.bytes = 0;
-        std::mem::take(&mut self.recs).into_iter().collect()
+        out.extend(self.recs.drain(..));
     }
 
     /// Advances the consumed cursor by one.
@@ -122,6 +139,7 @@ impl Buffer {
     /// Physically removes everything (drain-mode buffers after the parent
     /// consumed this round's output; Algorithm 1, step 7).
     pub fn clear(&mut self) {
+        self.base += self.recs.len() as u64;
         self.recs.clear();
         self.consumed = 0;
         self.bytes = 0;
@@ -154,12 +172,15 @@ impl Buffer {
             }
         }
         self.consumed = self.consumed.saturating_sub(removed_front);
+        self.base += removed_front as u64;
         // Slow path for interior out-of-window records (internal buffers:
         // start order is not end order). Scan only if any survivor violates.
         // One in-place compaction sweep: survivors swap down to a write
         // cursor while `bytes` and `consumed` update in the same pass — no
         // reallocation, no second traversal.
         if self.recs.iter().any(|r| r.start_ts() < eat) {
+            // Survivors move, so they take positions past every old one.
+            self.base += self.recs.len() as u64;
             let consumed = self.consumed;
             let mut new_consumed = consumed;
             let mut write = 0usize;
@@ -265,6 +286,32 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.consumed(), 1);
         assert_eq!(b.earliest_unconsumed_end(), Some(13));
+    }
+
+    #[test]
+    fn positions_survive_front_removal_and_are_never_reused() {
+        let mut b = Buffer::new();
+        for t in [1, 2, 3, 4] {
+            b.push(rec(t));
+        }
+        assert_eq!(b.base(), 0);
+        b.prune(3); // front pop: ts 1, 2
+        assert_eq!(b.base(), 2);
+        assert_eq!(b.get(0).end_ts(), 3); // position 2 is still ts 3
+        let mut out = Vec::new();
+        b.drain_into(&mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!((b.base(), b.len(), b.bytes()), (4, 0, 0));
+        b.push(span_rec(1, 10)); // position 4
+        b.push(span_rec(9, 11)); // position 5
+        b.push(span_rec(2, 12)); // position 6
+                                 // Pops position 4, then compacts 6 away: the survivor (9, 11) is
+                                 // renumbered past every old position.
+        b.prune(5);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.base(), 7);
+        b.clear();
+        assert_eq!(b.base(), 8);
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //! * **NEG** — the on-top filter: drop composites with a qualifying
 //!   negation instance interleaved between `prev` and `next`.
 
-use zstream_events::{EventRef, Record, Slot, Ts};
+use zstream_events::{EventRef, Record, Slot, Ts, Value};
 use zstream_lang::{eval_binop, ClassId, EventBinding, KleeneKind, TypedExpr};
 
 use crate::physical::binding::{
     pred_passes, ClassMap, PairBinding, RecordBinding, WithEventBinding,
 };
-use crate::physical::hash::HashIndex;
+use crate::physical::hash::HashJoin;
 use crate::physical::plan::{Node, NodeKind, PhysicalPlan, ProbeSide};
 
 /// Per-round evaluation context.
@@ -41,54 +41,37 @@ pub struct EvalCtx {
 
 impl PhysicalPlan {
     /// Runs one assembly round: prunes every buffer against `eat`, evaluates
-    /// all internal nodes bottom-up, and drains the root's output.
-    pub fn assemble(&mut self, eat: Ts) -> Vec<Record> {
+    /// all internal nodes bottom-up, and drains the root's output onto the
+    /// end of `out`.
+    pub fn assemble(&mut self, eat: Ts, out: &mut Vec<Record>) {
         let ctx = EvalCtx { window: self.window, eat, optional_mask: self.optional_mask };
         if self.config.eat_pruning {
-            self.prune_all(eat);
+            // Hash indexes catch up with their buffers when next synced.
+            for node in &mut self.nodes {
+                node.buf.prune(eat);
+            }
         }
         for k in 0..self.nodes.len() {
             if !self.nodes[k].is_leaf() {
-                eval_node(&mut self.nodes, k, &ctx);
+                eval_node(&mut self.nodes, k, &ctx, &mut self.split_vals);
             }
         }
-        let root = self.root;
-        if self.nodes[root].is_leaf() {
+        let root = &mut self.nodes[self.root];
+        let root_is_leaf = root.is_leaf();
+        let buf = &mut root.buf;
+        if root_is_leaf {
             // Degenerate single-class pattern: emit unconsumed leaf records.
-            let buf = &mut self.nodes[root].buf;
-            let out: Vec<Record> = buf.iter_unconsumed().cloned().collect();
+            out.extend(buf.iter_unconsumed().cloned());
             buf.consume_all();
-            out
         } else {
-            self.nodes[root].buf.take_all()
-        }
-    }
-
-    /// Prunes every buffer and rebuilds hash indexes whose build-side buffer
-    /// shifted.
-    fn prune_all(&mut self, eat: Ts) {
-        let pruned: Vec<bool> = self.nodes.iter_mut().map(|n| n.buf.prune(eat) > 0).collect();
-        for k in 0..self.nodes.len() {
-            let Some(spec) = self.nodes[k].hash.clone() else { continue };
-            let (left, right) = match self.nodes[k].kind {
-                NodeKind::Seq { left, right } | NodeKind::Conj { left, right } => (left, right),
-                _ => continue,
-            };
-            let (before, rest) = self.nodes.split_at_mut(k);
-            let node = &mut rest[0];
-            if pruned[left] {
-                node.hash_left.rebuild(&before[left].buf, &before[left].map, &spec.left);
-            }
-            if pruned[right] && matches!(node.kind, NodeKind::Conj { .. }) {
-                node.hash_right.rebuild(&before[right].buf, &before[right].map, &spec.right);
-            }
+            buf.drain_into(out);
         }
     }
 
     /// Total logical footprint of all buffers and hash indexes (peak-memory
     /// accounting for Tables 3 and 5).
     pub fn total_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.buf.bytes() + n.hash_left.bytes() + n.hash_right.bytes()).sum()
+        self.nodes.iter().map(|n| n.buf.bytes() + n.hash.as_ref().map_or(0, |h| h.bytes())).sum()
     }
 
     /// Resets all dynamic state: internal buffers cleared, leaf buffers
@@ -117,10 +100,10 @@ impl PhysicalPlan {
     }
 }
 
-fn eval_node(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
+fn eval_node(nodes: &mut [Node], k: usize, ctx: &EvalCtx, split_vals: &mut Vec<Option<Value>>) {
     match nodes[k].kind {
         NodeKind::Leaf { .. } => {}
-        NodeKind::Seq { left, right } => eval_seq(nodes, k, left, right, ctx),
+        NodeKind::Seq { left, right } => eval_seq(nodes, k, left, right, ctx, split_vals),
         NodeKind::Conj { left, right } => eval_conj(nodes, k, left, right, ctx),
         NodeKind::Disj { left, right } => eval_disj(nodes, k, left, right),
         NodeKind::Nseq { .. } => eval_nseq(nodes, k, ctx),
@@ -157,46 +140,46 @@ fn guards_pass(
     })
 }
 
-fn eval_seq(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalCtx) {
-    // Sync the build-side hash index with the left child's buffer.
-    if let Some(spec) = nodes[k].hash.clone() {
-        let (before, rest) = nodes.split_at_mut(k);
-        rest[0].hash_left.sync(&before[left].buf, &before[left].map, &spec.left);
-    }
+fn eval_seq(
+    nodes: &mut [Node],
+    k: usize,
+    left: usize,
+    right: usize,
+    ctx: &EvalCtx,
+    split_vals: &mut Vec<Option<Value>>,
+) {
     let (before, rest) = nodes.split_at_mut(k);
     let node = &mut rest[0];
     let lnode = &before[left];
     let rnode = &before[right];
-    let Node { buf: out, preds, split_preds, split_flag, hash, hash_left, guards, .. } = node;
-    let mut candidates: Vec<u32> = Vec::new();
+    let Node { buf: out, preds, split_preds, split_flag, hash, guards, .. } = node;
+    // Sync the build-side hash index with the left child's buffer.
+    let mut hash = hash.as_deref_mut().map(|HashJoin { spec, left: index, .. }| {
+        index.sync(&lnode.buf, &lnode.map, &spec.left);
+        (&*spec, index)
+    });
     // Split-predicate fast path: sound only when no referenced class can be
     // legitimately unbound (vacuous truth needs the tree-walk semantics).
     let use_split = ctx.optional_mask == 0 && !split_preds.is_empty();
     let has_slow = !use_split || split_flag.iter().any(|f| !f);
     let has_guards = !guards.is_empty();
-    // Per-right-record values of the fixed sides; `None` = evaluation error
-    // (the predicate fails every pair unless hash coverage skips it).
-    let mut fixed_vals: Vec<Option<zstream_events::Value>> = Vec::with_capacity(split_preds.len());
 
     for ri in rnode.buf.consumed()..rnode.buf.len() {
         let rr = rnode.buf.get(ri);
         if use_split {
             let rb = RecordBinding { rec: rr, map: &rnode.map };
-            fixed_vals.clear();
-            fixed_vals.extend(split_preds.iter().map(|sp| sp.fixed.eval(&rb).ok()));
+            split_vals.clear();
+            split_vals.extend(split_preds.iter().map(|sp| sp.fixed.eval(&rb).ok()));
         }
         // Candidate left records: hash probe or the end-before prefix.
-        candidates.clear();
-        let mut hash_used = false;
-        if let Some(spec) = &*hash {
-            if let Some(key) = HashIndex::key_of(rr, &rnode.map, &spec.right) {
-                candidates.extend_from_slice(hash_left.probe(&key));
-                candidates.extend_from_slice(hash_left.unkeyed());
-                hash_used = true;
-            }
-        }
-        let covered: &[usize] =
-            if hash_used { hash.as_ref().map_or(&[], |s| &s.covered_preds) } else { &[] };
+        let (probe, covered): (_, &[usize]) = match &mut hash {
+            Some((spec, index)) => match index.probe_record(rr, &rnode.map, &spec.right) {
+                Some(probe) => (Some(probe), &spec.covered_preds),
+                None => (None, &[]),
+            },
+            None => (None, &[]),
+        };
+        let hash_used = probe.is_some();
         // `$time_check`: hash candidates are unordered in time; the scan
         // path's prefix/window bounds make both time checks vacuous there.
         // A macro (not a closure) so each call site gets a specialized body.
@@ -209,7 +192,7 @@ fn eval_seq(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalC
                     || (use_split
                         && !split_preds_pass(
                             split_preds,
-                            &fixed_vals,
+                            split_vals,
                             covered,
                             hash_used,
                             lr,
@@ -233,9 +216,9 @@ fn eval_seq(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalC
                 }
             }};
         }
-        if hash_used {
-            for &li in &candidates {
-                consider!(li as usize, true);
+        if let Some(probe) = probe {
+            for li in probe {
+                consider!(li, true);
             }
         } else {
             // Scan candidates sorted by end: `[lo, hi)` holds exactly the
@@ -302,19 +285,19 @@ fn preds_pass(
 }
 
 fn eval_conj(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalCtx) {
-    if let Some(spec) = nodes[k].hash.clone() {
-        let (before, rest) = nodes.split_at_mut(k);
-        rest[0].hash_left.sync(&before[left].buf, &before[left].map, &spec.left);
-        rest[0].hash_right.sync(&before[right].buf, &before[right].map, &spec.right);
-    }
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
+    let Node { buf: out, preds, hash, .. } = &mut rest[0];
     let lnode = &before[left];
     let rnode = &before[right];
+    let mut hash = hash.as_deref_mut().map(|HashJoin { spec, left: lindex, right: rindex }| {
+        let rindex = rindex.as_deref_mut().expect("CONJ hash joins index both sides");
+        lindex.sync(&lnode.buf, &lnode.map, &spec.left);
+        rindex.sync(&rnode.buf, &rnode.map, &spec.right);
+        (&*spec, lindex, rindex)
+    });
 
     let mut lc = lnode.buf.consumed();
     let mut rc = rnode.buf.consumed();
-    let mut candidates: Vec<u32> = Vec::new();
 
     while lc < lnode.buf.len() || rc < rnode.buf.len() {
         // Algorithm 3 line 5: advance the side with the earlier end
@@ -323,33 +306,36 @@ fn eval_conj(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &Eval
             (true, true) => lnode.buf.get(lc).end_ts() <= rnode.buf.get(rc).end_ts(),
             (l, _) => l,
         };
-        let (pr, pr_map, other, other_map, bound, probe_right) = if take_left {
+        let (pr, pr_map, other, other_map, bound) = if take_left {
             let pr = lnode.buf.get(lc);
             lc += 1;
-            (pr, &lnode.map, rnode, &rnode.map, rc, true)
+            (pr, &lnode.map, rnode, &rnode.map, rc)
         } else {
             let pr = rnode.buf.get(rc);
             rc += 1;
-            (pr, &rnode.map, lnode, &lnode.map, lc, false)
+            (pr, &rnode.map, lnode, &lnode.map, lc)
         };
-        // Candidates: records of the other side already consumed.
-        candidates.clear();
-        let mut hash_used = false;
-        if let Some(spec) = &node.hash {
-            let parts = if probe_right { &spec.left } else { &spec.right };
-            if let Some(key) = HashIndex::key_of(pr, pr_map, parts) {
-                let idx = if probe_right { &node.hash_right } else { &node.hash_left };
-                candidates
-                    .extend(idx.probe(&key).iter().copied().filter(|&i| (i as usize) < bound));
-                candidates.extend(idx.unkeyed().iter().copied().filter(|&i| (i as usize) < bound));
-                hash_used = true;
+        // Candidates: records of the other side already consumed — probed
+        // from the other side's index with this record's key, or all of
+        // them.
+        let (probe, covered): (_, &[usize]) = match &mut hash {
+            Some((spec, lindex, rindex)) => {
+                let probe = if take_left {
+                    rindex.probe_record(pr, pr_map, &spec.left)
+                } else {
+                    lindex.probe_record(pr, pr_map, &spec.right)
+                };
+                match probe {
+                    Some(probe) => (Some(probe), &spec.covered_preds),
+                    None => (None, &[]),
+                }
             }
-        }
-        if !hash_used {
-            candidates.extend(0..bound as u32);
-        }
-        for &bi in &candidates {
-            let br = other.buf.get(bi as usize);
+            None => (None, &[]),
+        };
+        let hash_used = probe.is_some();
+        let scan = if hash_used { 0..0 } else { 0..bound };
+        for bi in probe.into_iter().flatten().filter(|&i| i < bound).chain(scan) {
+            let br = other.buf.get(bi);
             let span_start = pr.start_ts().min(br.start_ts());
             let span_end = pr.end_ts().max(br.end_ts());
             if span_end - span_start > ctx.window {
@@ -362,12 +348,10 @@ fn eval_conj(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &Eval
                 left: RecordBinding { rec: lrec, map: lmap2 },
                 right: RecordBinding { rec: rrec, map: rmap2 },
             };
-            let covered: &[usize] =
-                if hash_used { node.hash.as_ref().map_or(&[], |s| &s.covered_preds) } else { &[] };
-            if !preds_pass(&node.preds, covered, &binding, ctx.optional_mask) {
+            if !preds_pass(preds, covered, &binding, ctx.optional_mask) {
                 continue;
             }
-            node.buf.push(Record::combine(lrec, rrec));
+            out.push(Record::combine(lrec, rrec));
         }
     }
     before[left].buf.set_consumed(lc);
@@ -389,19 +373,21 @@ fn eval_disj(nodes: &mut [Node], k: usize, left: usize, right: usize) {
             (true, true) => lnode.buf.get(lc).end_ts() <= rnode.buf.get(rc).end_ts(),
             (l, _) => l,
         };
-        let rec = if take_left {
+        let mut slots: Vec<Slot> = Vec::with_capacity(lwidth + rwidth);
+        let r = if take_left {
             let r = lnode.buf.get(lc);
             lc += 1;
-            let mut slots: Vec<Slot> = r.slots().to_vec();
-            slots.extend(std::iter::repeat_with(|| Slot::None).take(rwidth));
-            Record::from_slots_with_span(slots, r.start_ts(), r.end_ts())
+            slots.extend_from_slice(r.slots());
+            slots.resize(lwidth + rwidth, Slot::None);
+            r
         } else {
             let r = rnode.buf.get(rc);
             rc += 1;
-            let mut slots: Vec<Slot> = std::iter::repeat_with(|| Slot::None).take(lwidth).collect();
-            slots.extend(r.slots().iter().cloned());
-            Record::from_slots_with_span(slots, r.start_ts(), r.end_ts())
+            slots.resize(lwidth, Slot::None);
+            slots.extend_from_slice(r.slots());
+            r
         };
+        let rec = Record::from_slots_with_span(slots, r.start_ts(), r.end_ts());
         node.buf.push(rec);
     }
     finish_consume(nodes, left);
@@ -409,13 +395,11 @@ fn eval_disj(nodes: &mut [Node], k: usize, left: usize, right: usize) {
 }
 
 fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
-    let NodeKind::Nseq { ref negs, right } = nodes[k].kind else { unreachable!() };
-    let negs = negs.clone();
-    let neg_mask: u64 = negs.iter().map(|ni| nodes[*ni].mask()).fold(0, |a, b| a | b);
-    let neg_classes: Vec<ClassId> = negs.iter().map(|ni| nodes[*ni].classes[0]).collect();
-
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
+    let Node { kind, buf: out, preds, .. } = &mut rest[0];
+    let NodeKind::Nseq { negs, right } = kind else { unreachable!() };
+    let right = *right;
+    let neg_mask: u64 = negs.iter().map(|ni| before[*ni].mask()).fold(0, |a, b| a | b);
     let rnode = &before[right];
 
     for ri in rnode.buf.consumed()..rnode.buf.len() {
@@ -423,9 +407,9 @@ fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
         // Algorithm 2: scan each negation buffer backward for the latest
         // instance before rr that satisfies the value constraints.
         let mut best: Option<(Ts, ClassId, EventRef)> = None;
-        for (gi, &ni) in negs.iter().enumerate() {
+        for &ni in negs.iter() {
             let nb = &before[ni];
-            let nclass = neg_classes[gi];
+            let nclass = nb.classes[0];
             let hi = nb.buf.prefix_end_before(rr.start_ts());
             for j in (0..hi).rev() {
                 let b = nb.buf.get(j);
@@ -442,22 +426,20 @@ fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
                 // Other negation classes stay legitimately unbound while
                 // this candidate is tested.
                 let optional = ctx.optional_mask | (neg_mask & !(1u64 << nclass));
-                if preds_pass(&node.preds, &[], &binding, optional) {
+                if preds_pass(preds, &[], &binding, optional) {
                     best = Some((bts, nclass, ev.clone()));
                     break;
                 }
             }
         }
         // Emit (b, Rr) or (NULL, Rr); the span excludes the negation event.
-        let mut slots: Vec<Slot> = neg_classes
-            .iter()
-            .map(|nc| match &best {
-                Some((_, c, ev)) if c == nc => Slot::One(ev.clone()),
-                _ => Slot::None,
-            })
-            .collect();
-        slots.extend(rr.slots().iter().cloned());
-        node.buf.push(Record::from_slots_with_span(slots, rr.start_ts(), rr.end_ts()));
+        let mut slots: Vec<Slot> = Vec::with_capacity(negs.len() + rr.slots().len());
+        slots.extend(negs.iter().map(|ni| match &best {
+            Some((_, c, ev)) if *c == before[*ni].classes[0] => Slot::One(ev.clone()),
+            _ => Slot::None,
+        }));
+        slots.extend_from_slice(rr.slots());
+        out.push(Record::from_slots_with_span(slots, rr.start_ts(), rr.end_ts()));
     }
     finish_consume(nodes, right);
 }
@@ -507,14 +489,11 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
             let enode = &before[e];
             for ei in enode.buf.consumed()..enode.buf.len() {
                 let er = enode.buf.get(ei);
-                let starts: Vec<Option<usize>> = match start {
-                    Some(s) => {
-                        (0..before[s].buf.prefix_end_before(er.start_ts())).map(Some).collect()
-                    }
-                    None => vec![None],
-                };
-                for si in starts {
-                    let sr = si.map(|i| before[start.expect("si bound")].buf.get(i));
+                // Start records ending before `er` (one unanchored pass
+                // when the closure opens the pattern).
+                let n_starts = start.map_or(1, |s| before[s].buf.prefix_end_before(er.start_ts()));
+                for si in 0..n_starts {
+                    let sr = start.map(|s| before[s].buf.get(si));
                     emit_kseq_groups(
                         node,
                         start.map(|s| &before[s]),
@@ -537,12 +516,9 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
             };
             for mi in mbuf.consumed()..mbuf.len() {
                 let m_end = mbuf.get(mi).end_ts();
-                let starts: Vec<Option<usize>> = match start {
-                    Some(s) => (0..before[s].buf.prefix_end_before(m_end)).map(Some).collect(),
-                    None => vec![None],
-                };
-                for si in starts {
-                    let sr = si.map(|i| before[start.expect("si bound")].buf.get(i));
+                let n_starts = start.map_or(1, |s| before[s].buf.prefix_end_before(m_end));
+                for si in 0..n_starts {
+                    let sr = start.map(|s| before[s].buf.get(si));
                     emit_trailing_group(
                         node,
                         start.map(|s| &before[s]),
@@ -680,14 +656,12 @@ fn emit_group(
     ctx: &EvalCtx,
 ) {
     let _ = closure_class;
-    let mut slots: Vec<Slot> = Vec::new();
-    if let Some(s) = sr {
-        slots.extend(s.slots().iter().cloned());
-    }
+    let (start_slots, end_slots) =
+        (sr.map_or(&[][..], Record::slots), er.map_or(&[][..], |(_, e)| e.slots()));
+    let mut slots: Vec<Slot> = Vec::with_capacity(start_slots.len() + 1 + end_slots.len());
+    slots.extend_from_slice(start_slots);
     slots.push(Slot::Many(group.to_vec().into()));
-    if let Some((_, e)) = er {
-        slots.extend(e.slots().iter().cloned());
-    }
+    slots.extend_from_slice(end_slots);
     let rec = Record::from_slots(slots);
     if rec.end_ts() - rec.start_ts() > ctx.window {
         return;
@@ -702,39 +676,40 @@ fn emit_group(
 }
 
 fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
-    let NodeKind::NegTop { input, ref negs, prev, next } = nodes[k].kind else { unreachable!() };
-    let negs = negs.clone();
-    let neg_mask: u64 = negs.iter().map(|ni| nodes[*ni].mask()).fold(0, |a, b| a | b);
-    let neg_classes: Vec<ClassId> = negs.iter().map(|ni| nodes[*ni].classes[0]).collect();
-
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
+    let Node { kind, buf: out, preds, map, .. } = &mut rest[0];
+    let NodeKind::NegTop { input, negs, prev, next } = kind else { unreachable!() };
+    let (input, prev, next) = (*input, *prev, *next);
+    let neg_mask: u64 = negs.iter().map(|ni| before[*ni].mask()).fold(0, |a, b| a | b);
     let inode = &before[input];
 
-    // Record-level predicates (no negation classes) vs. candidate
-    // predicates (touch a negation class).
-    let (cand_preds, rec_preds): (Vec<&TypedExpr>, Vec<&TypedExpr>) =
-        node.preds.iter().partition(|p| p.class_mask() & neg_mask != 0);
+    // Record-level predicates touch no negation class; candidate predicates
+    // do, and are checked per negation instance of the classes they touch.
+    let touches = |p: &TypedExpr, mask: u64| p.class_mask() & mask != 0;
 
     for ri in inode.buf.consumed()..inode.buf.len() {
         let rr = inode.buf.get(ri);
         let base = RecordBinding { rec: rr, map: &inode.map };
-        if !rec_preds.iter().all(|p| pred_passes(p, &base, ctx.optional_mask)) {
+        if !preds
+            .iter()
+            .filter(|p| !touches(p, neg_mask))
+            .all(|p| pred_passes(p, &base, ctx.optional_mask))
+        {
             continue;
         }
-        let prev_ts = node.map.slot_of(prev).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
-        let next_ts = node.map.slot_of(next).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
+        let prev_ts = map.slot_of(prev).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
+        let next_ts = map.slot_of(next).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
         let (Some(prev_ts), Some(next_ts)) = (prev_ts, next_ts) else {
             // Defensive: anchors should always be bound for flat sequences.
-            node.buf.push(rr.clone());
+            out.push(rr.clone());
             continue;
         };
         // A negation instance b interleaves when prev.ts < b.ts < next.ts
         // and its predicates hold.
         let mut negated = false;
-        'outer: for (gi, &ni) in negs.iter().enumerate() {
+        'outer: for &ni in negs.iter() {
             let nb = &before[ni];
-            let nclass = neg_classes[gi];
+            let nclass = nb.classes[0];
             let lo = nb.buf.first_end_at_or_after(prev_ts + 1);
             let hi = nb.buf.prefix_end_before(next_ts);
             for j in lo..hi {
@@ -745,19 +720,18 @@ fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
                     event: ev,
                 };
                 let optional = ctx.optional_mask | (neg_mask & !(1u64 << nclass));
-                let relevant: Vec<&TypedExpr> = cand_preds
+                if preds
                     .iter()
-                    .copied()
-                    .filter(|p| p.class_mask() & (1u64 << nclass) != 0)
-                    .collect();
-                if relevant.iter().all(|p| pred_passes(p, &binding, optional)) {
+                    .filter(|p| touches(p, 1u64 << nclass))
+                    .all(|p| pred_passes(p, &binding, optional))
+                {
                     negated = true;
                     break 'outer;
                 }
             }
         }
         if !negated {
-            node.buf.push(rr.clone());
+            out.push(rr.clone());
         }
     }
     finish_consume(nodes, input);

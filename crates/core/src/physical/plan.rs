@@ -16,7 +16,7 @@
 //! * internal nodes consumed as SEQ-left or CONJ inputs retain records with
 //!   cursors (Algorithm 3 keeps both sides).
 
-use zstream_events::Ts;
+use zstream_events::{Ts, Value};
 use zstream_lang::{AnalyzedQuery, BinOp, ClassId, KleeneKind, TypedExpr, TypedPattern};
 
 use crate::cost::dp::{PlanSpec, TopNeg, Unit, UnitKind};
@@ -24,7 +24,7 @@ use crate::cost::shape::PlanShape;
 use crate::error::CoreError;
 use crate::physical::binding::ClassMap;
 use crate::physical::buffer::Buffer;
-use crate::physical::hash::{HashIndex, HashSpec, KeyPart};
+use crate::physical::hash::{HashJoin, HashSpec, KeyPart};
 
 /// Build-time configuration toggles (ablation switches for the benches).
 #[derive(Debug, Clone)]
@@ -179,14 +179,9 @@ pub struct Node {
     /// Per-closure-event predicates (KSEQ only): evaluated for each
     /// candidate middle event during qualification.
     pub event_preds: Vec<TypedExpr>,
-    /// Hash-join specification, when equality predicates at this node are
-    /// evaluated by hashing.
-    pub hash: Option<HashSpec>,
-    /// Build-side hash index over the left child's buffer.
-    pub hash_left: HashIndex,
-    /// Build-side hash index over the right child's buffer (CONJ probes in
-    /// both directions).
-    pub hash_right: HashIndex,
+    /// Hash join, when equality predicates at this node are evaluated by
+    /// hashing.
+    pub hash: Option<Box<HashJoin>>,
     /// NSEQ time guards (on SEQ nodes above pushed-down negations).
     pub guards: Vec<NegGuard>,
     /// Whether the parent physically drains this buffer after consuming it.
@@ -206,8 +201,6 @@ impl Node {
             split_flag: Vec::new(),
             event_preds: Vec::new(),
             hash: None,
-            hash_left: HashIndex::new(),
-            hash_right: HashIndex::new(),
             guards: Vec::new(),
             drain: false,
         }
@@ -245,6 +238,9 @@ pub struct PhysicalPlan {
     pub optional_mask: u64,
     /// Build-time configuration.
     pub config: PlanConfig,
+    /// SEQ evaluation scratch: the split predicates' fixed sides evaluated
+    /// for the current right record (`None` = evaluation error).
+    pub(crate) split_vals: Vec<Option<Value>>,
 }
 
 impl PhysicalPlan {
@@ -295,7 +291,7 @@ impl PhysicalPlan {
         };
         let extras = [
             (!node.preds.is_empty()).then(|| format!("{} preds", node.preds.len())),
-            node.hash.as_ref().map(|h| format!("hash x{}", h.left.len())),
+            node.hash.as_ref().map(|h| format!("hash x{}", h.spec.left.len())),
             (!node.guards.is_empty()).then(|| "guarded".to_string()),
         ]
         .into_iter()
@@ -515,8 +511,9 @@ impl<'a> Builder<'a> {
         // a composite hash key.
         if self.config.use_hash {
             for i in 0..self.nodes.len() {
-                let (li, ri) = match self.nodes[i].kind {
-                    NodeKind::Seq { left, right } | NodeKind::Conj { left, right } => (left, right),
+                let (li, ri, both_sides) = match self.nodes[i].kind {
+                    NodeKind::Seq { left, right } => (left, right, false),
+                    NodeKind::Conj { left, right } => (left, right, true),
                     _ => continue,
                 };
                 let lmask = self.nodes[li].mask();
@@ -538,7 +535,7 @@ impl<'a> Builder<'a> {
                     }
                 }
                 if !spec.covered_preds.is_empty() {
-                    self.nodes[i].hash = Some(spec);
+                    self.nodes[i].hash = Some(Box::new(HashJoin::new(spec, both_sides)));
                 }
             }
         }
@@ -581,6 +578,7 @@ impl<'a> Builder<'a> {
             trigger_classes,
             optional_mask,
             config: self.config,
+            split_vals: Vec::new(),
         })
     }
 }
@@ -786,7 +784,7 @@ mod tests {
                 .unwrap();
         let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default()).unwrap();
         let top = &plan.nodes[plan.root];
-        let hash = top.hash.as_ref().expect("equality should hash");
+        let hash = &top.hash.as_ref().expect("equality should hash").spec;
         assert_eq!(hash.left, vec![KeyPart { class: 0, field: 1 }]);
         assert_eq!(hash.right, vec![KeyPart { class: 2, field: 1 }]);
         assert_eq!(hash.covered_preds, vec![0]);

@@ -57,31 +57,63 @@ impl Slot {
         self.events().last().map(|e| e.ts())
     }
 
-    fn footprint(&self) -> usize {
-        std::mem::size_of::<Slot>()
-            + match self {
-                Slot::Many(es) => es.len() * std::mem::size_of::<EventRef>(),
-                _ => 0,
-            }
+    /// Heap bytes of a closure group's event array (zero otherwise).
+    fn spill(&self) -> usize {
+        match self {
+            Slot::Many(es) => es.len() * std::mem::size_of::<EventRef>(),
+            _ => 0,
+        }
     }
 }
 
 /// A buffer record: a vector of event slots plus a start and end timestamp.
 ///
 /// Records are cheap to clone (slots hold `Arc`s) and are kept sorted by
-/// `end_ts` in every buffer — the central invariant of §4.2.
+/// `end_ts` in every buffer — the central invariant of §4.2. A one-slot
+/// record (every leaf record) keeps its slot inline, so admitting an event
+/// into a leaf buffer does not allocate; wider records box their slots.
 #[derive(Debug, Clone)]
 pub struct Record {
-    slots: Box<[Slot]>,
+    slots: Slots,
     start: Ts,
     end: Ts,
 }
 
+/// Slot storage: one slot inline, or a boxed array of two or more. Every
+/// constructor normalizes a one-slot array to the inline form.
+#[derive(Debug, Clone)]
+enum Slots {
+    One(Slot),
+    Many(Box<[Slot]>),
+}
+
+impl Slots {
+    fn from_vec(mut slots: Vec<Slot>) -> Slots {
+        if slots.len() == 1 {
+            if let Some(slot) = slots.pop() {
+                return Slots::One(slot);
+            }
+        }
+        Slots::Many(slots.into_boxed_slice())
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[Slot] {
+        match self {
+            Slots::One(s) => std::slice::from_ref(s),
+            Slots::Many(s) => s,
+        }
+    }
+}
+
+// Buffers hold records by value; the inline slot must not bloat them.
+const _: () = assert!(std::mem::size_of::<Record>() <= 40);
+
 impl Record {
-    /// A leaf record wrapping one primitive event.
+    /// A leaf record wrapping one primitive event (no heap allocation).
     pub fn primitive(event: EventRef) -> Record {
         let ts = event.ts();
-        Record { slots: Box::new([Slot::One(event)]), start: ts, end: ts }
+        Record { slots: Slots::One(Slot::One(event)), start: ts, end: ts }
     }
 
     /// A record from explicit slots; `start`/`end` are computed from the
@@ -98,7 +130,7 @@ impl Record {
             .filter_map(Slot::end_ts)
             .max()
             .expect("record must bind at least one event");
-        Record { slots: slots.into_boxed_slice(), start, end }
+        Record { slots: Slots::from_vec(slots), start, end }
     }
 
     /// A record from explicit slots and an explicit span. Used by NSEQ: the
@@ -107,17 +139,18 @@ impl Record {
     /// output, §4.4.2).
     pub fn from_slots_with_span(slots: Vec<Slot>, start: Ts, end: Ts) -> Record {
         debug_assert!(start <= end);
-        Record { slots: slots.into_boxed_slice(), start, end }
+        Record { slots: Slots::from_vec(slots), start, end }
     }
 
     /// Combines two adjacent sub-records into one covering both class ranges
     /// (left classes first). The span is the union of the two spans.
     pub fn combine(left: &Record, right: &Record) -> Record {
-        let mut slots = Vec::with_capacity(left.slots.len() + right.slots.len());
-        slots.extend(left.slots.iter().cloned());
-        slots.extend(right.slots.iter().cloned());
+        let (l, r) = (left.slots(), right.slots());
+        let mut slots = Vec::with_capacity(l.len() + r.len());
+        slots.extend_from_slice(l);
+        slots.extend_from_slice(r);
         Record {
-            slots: slots.into_boxed_slice(),
+            slots: Slots::Many(slots.into_boxed_slice()),
             start: left.start.min(right.start),
             end: left.end.max(right.end),
         }
@@ -127,19 +160,19 @@ impl Record {
     /// `insert (NULL, Rr)` does. The span is unchanged: a `None` slot carries
     /// no events.
     pub fn with_null_left(right: &Record) -> Record {
-        let mut slots = Vec::with_capacity(1 + right.slots.len());
+        let mut slots = Vec::with_capacity(1 + right.slots().len());
         slots.push(Slot::None);
-        slots.extend(right.slots.iter().cloned());
-        Record { slots: slots.into_boxed_slice(), start: right.start, end: right.end }
+        slots.extend_from_slice(right.slots());
+        Record { slots: Slots::Many(slots.into_boxed_slice()), start: right.start, end: right.end }
     }
 
     /// Appends an unbound (negated) slot after `left` — the `B;!C` mirror
     /// case of NSEQ.
     pub fn with_null_right(left: &Record) -> Record {
-        let mut slots = Vec::with_capacity(1 + left.slots.len());
-        slots.extend(left.slots.iter().cloned());
+        let mut slots = Vec::with_capacity(1 + left.slots().len());
+        slots.extend_from_slice(left.slots());
         slots.push(Slot::None);
-        Record { slots: slots.into_boxed_slice(), start: left.start, end: left.end }
+        Record { slots: Slots::Many(slots.into_boxed_slice()), start: left.start, end: left.end }
     }
 
     /// Start timestamp: earliest constituent primitive event (§3).
@@ -155,33 +188,45 @@ impl Record {
     }
 
     /// Slots in pattern order for the class range this record covers.
+    #[inline]
     pub fn slots(&self) -> &[Slot] {
-        &self.slots
+        self.slots.as_slice()
     }
 
     /// The slot at relative class position `i`.
     #[inline]
     pub fn slot(&self, i: usize) -> &Slot {
-        &self.slots[i]
+        &self.slots()[i]
+    }
+
+    /// True when the slots are stored inline (one-slot records), i.e. the
+    /// record owns no slot array on the heap.
+    pub fn is_inline(&self) -> bool {
+        matches!(self.slots, Slots::One(_))
     }
 
     /// Total number of primitive events bound (closure groups count all).
     pub fn event_count(&self) -> usize {
-        self.slots.iter().map(|s| s.events().len()).sum()
+        self.slots().iter().map(|s| s.events().len()).sum()
     }
 
-    /// Approximate in-memory footprint in bytes (record header + slot array +
-    /// closure spill), for the logical memory accounting of Tables 3/5.
-    /// Shared primitive events are *not* counted; they are owned by leaves.
+    /// Approximate in-memory footprint in bytes, for the logical memory
+    /// accounting of Tables 3/5: the record itself, its slot array when
+    /// that lives on the heap, and closure spill. Shared primitive events
+    /// are *not* counted; they are owned by leaves.
     pub fn footprint(&self) -> usize {
-        std::mem::size_of::<Record>() + self.slots.iter().map(Slot::footprint).sum::<usize>()
+        let array = match &self.slots {
+            Slots::One(_) => 0,
+            Slots::Many(s) => s.len() * std::mem::size_of::<Slot>(),
+        };
+        std::mem::size_of::<Record>() + array + self.slots().iter().map(Slot::spill).sum::<usize>()
     }
 }
 
 impl fmt::Display for Record {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}..{}](", self.start, self.end)?;
-        for (i, s) in self.slots.iter().enumerate() {
+        for (i, s) in self.slots().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -243,6 +288,30 @@ mod tests {
         ]);
         assert_eq!(r.event_count(), 4);
         assert_eq!((r.start_ts(), r.end_ts()), (0, 4));
+    }
+
+    #[test]
+    fn one_slot_records_are_inline_whatever_the_constructor() {
+        let e = stock(3, 1, "IBM", 1.0, 1);
+        assert!(Record::primitive(e.clone()).is_inline());
+        let from = Record::from_slots(vec![Slot::One(e.clone())]);
+        assert!(from.is_inline());
+        assert_eq!((from.start_ts(), from.end_ts()), (3, 3));
+        let spanned = Record::from_slots_with_span(vec![Slot::One(e.clone())], 3, 3);
+        assert!(spanned.is_inline());
+        assert_eq!(spanned.slots().len(), 1);
+        let pair = Record::combine(&from, &spanned);
+        assert!(!pair.is_inline());
+        assert_eq!(pair.slots().len(), 2);
+    }
+
+    #[test]
+    fn footprint_charges_the_slot_array_only_when_boxed() {
+        let size = std::mem::size_of::<Record>();
+        let leaf = Record::primitive(stock(1, 1, "A", 1.0, 1));
+        assert_eq!(leaf.footprint(), size);
+        let pair = Record::combine(&leaf, &Record::primitive(stock(2, 2, "B", 1.0, 1)));
+        assert_eq!(pair.footprint(), size + 2 * std::mem::size_of::<Slot>());
     }
 
     #[test]

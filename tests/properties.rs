@@ -157,6 +157,34 @@ proptest! {
     }
 
     #[test]
+    fn conjunction_equality_matches_oracle_across_pruning(
+        events in stream_strategy(40, NAMES),
+        batch in 1usize..8,
+        hash: bool,
+        window in 2u64..16,
+    ) {
+        // CONJ probes hash indexes in both directions. Streams span several
+        // windows, so build sides prune mid-stream: leaf sides from the
+        // front, the conjunction's own output (sorted by end, not start)
+        // also from the interior, which renumbers it.
+        for src in [
+            format!("PATTERN IBM & Sun WHERE IBM.volume = Sun.volume WITHIN {window}"),
+            format!(
+                "PATTERN (IBM & Sun); Oracle WHERE IBM.volume = Sun.volume \
+                 AND Sun.volume = Oracle.volume WITHIN {window}"
+            ),
+            format!(
+                "PATTERN IBM; (Sun & Oracle) WHERE IBM.volume = Oracle.volume \
+                 AND Sun.price = Oracle.price WITHIN {window}"
+            ),
+        ] {
+            let expected = oracle_sigs(&src, &events);
+            let got = engine_run(&src, None, batch, hash, &events);
+            prop_assert_eq!(&got, &expected, "query {}", src);
+        }
+    }
+
+    #[test]
     fn nfa_agrees_with_oracle(events in stream_strategy(26, NAMES)) {
         let src = "PATTERN IBM; Sun; Oracle WHERE IBM.price > Sun.price WITHIN 12";
         let aq = Arc::new(analyze(
