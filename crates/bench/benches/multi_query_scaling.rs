@@ -1,13 +1,15 @@
-//! **Multi-query scale-up** — throughput of the runtime serving 1 / 10 /
-//! 100 / 1000 registered queries, shared predicate index vs the
-//! per-query-scan baseline (`shared_intake(false)`), on a pool of
-//! selective "needle" stock patterns replicated to the target count.
+//! **Multi-query scale-up** — throughput of 1 / 10 / 100 / 1000 queries
+//! over one columnar stream, one shared predicate index with N
+//! subscribers vs the per-query-scan baseline (N standalone engines, each
+//! evaluating through its private index), on a pool of selective
+//! "needle" stock patterns replicated to the target count.
 //!
 //! The replicated pool means distinct intake conjuncts stay constant
-//! (a few dozen) while registered queries grow 1000x: with the shared
-//! index each distinct column predicate is evaluated **once per batch**
-//! into a bitmap and fanned out to subscribers, so intake cost is flat
-//! in the query count; the baseline re-scans every batch once per query.
+//! (a few dozen) while queries grow 1000x: with the shared index each
+//! distinct column predicate is evaluated **once per batch** into a
+//! bitmap and fanned out to subscribers, so intake cost is flat in the
+//! query count; the baseline re-scans every batch once per query. This is
+//! what every runtime shard does with the queries it hosts.
 //! Each pattern class carries a two-conjunct band filter (e.g.
 //! `price > hi AND price < lo`) whose first conjunct passes a real
 //! fraction of rows, so the per-query scan cannot short-circuit before
@@ -26,10 +28,11 @@
 
 use std::time::Instant;
 
+use std::sync::Arc;
 use zstream_bench::*;
-use zstream_core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
+
+use zstream_core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig, SharedPredIndex};
 use zstream_events::EventBatch;
-use zstream_runtime::{Partitioning, Runtime};
 use zstream_workload::{StockConfig, StockGenerator};
 
 const CHUNK: usize = 4096;
@@ -66,8 +69,8 @@ fn compile(src: &str) -> CompiledParts {
         .expect("bench query compiles")
 }
 
-/// One timed run: a single-shard runtime serving `queries` replicated
-/// registrations, columnar ingest, shared index on or off.
+/// One timed run: `queries` replicated engines over the columnar stream,
+/// subscribed to one shared index or each on its private one.
 fn measure(
     pool: &[CompiledParts],
     queries: usize,
@@ -78,21 +81,34 @@ fn measure(
     let total: usize = batches.iter().map(EventBatch::len).sum();
     let mut samples: Vec<(f64, u64)> = (0..reps.max(1))
         .map(|_| {
-            let mut builder = Runtime::builder()
-                .workers(1)
-                .batch_size(CHUNK)
-                .channel_capacity(4)
-                .shared_intake(shared);
-            for q in 0..queries {
-                builder.register(pool[q % pool.len()].clone(), Partitioning::Broadcast);
-            }
-            let mut runtime = builder.build().expect("runtime builds");
+            let mut index = SharedPredIndex::new();
+            let mut engines: Vec<_> = (0..queries)
+                .map(|q| {
+                    let parts = &pool[q % pool.len()];
+                    let mut engine = parts.engine().expect("engine builds");
+                    if shared {
+                        engine.set_shared_slots(Arc::new(index.register(&parts.intake)));
+                    }
+                    engine
+                })
+                .collect();
             let t0 = Instant::now();
             let mut matches = 0u64;
             for batch in batches {
-                matches += runtime.ingest_columns(batch).expect("ingest").len() as u64;
+                if shared {
+                    index.begin_batch();
+                    for engine in &mut engines {
+                        matches += engine.push_columns_shared(batch, Some(&mut index)).len() as u64;
+                    }
+                } else {
+                    for engine in &mut engines {
+                        matches += engine.push_columns(batch).len() as u64;
+                    }
+                }
             }
-            matches += runtime.shutdown().expect("shutdown").matches.len() as u64;
+            for engine in &mut engines {
+                matches += engine.flush().len() as u64;
+            }
             (total as f64 / t0.elapsed().as_secs_f64(), matches)
         })
         .collect();
@@ -111,7 +127,7 @@ fn main() {
 
     header(
         "Multi-query scale-up: shared predicate index vs per-query intake scans",
-        "16-pattern alarm pool replicated to N broadcast queries, 1 shard, columnar ingest",
+        "16-pattern alarm pool replicated to N engines, one thread, columnar batches",
     );
     let counts = [1usize, 10, 100, 1000];
     let mut shared_tputs = Vec::new();

@@ -11,6 +11,7 @@ use crate::cost::shape::PlanShape;
 use crate::cost::stats::Statistics;
 use crate::engine::Engine;
 use crate::error::CoreError;
+use crate::intake::CompiledIntake;
 use crate::logical::rewrite_query;
 use crate::partition::PartitionedEngine;
 use crate::physical::plan::{PhysicalPlan, PlanConfig};
@@ -252,13 +253,9 @@ impl CompiledParts {
         let plan = self.compiled.physical_plan(self.config.plan.clone()).map_err(|e| {
             zstream_events::SnapshotError::Corrupt(format!("plan rebuild failed: {e}"))
         })?;
-        Engine::restore_snapshot(
-            self.compiled.aq.clone(),
-            plan,
-            self.intake.clone(),
-            self.config.batch_size,
-            r,
-        )
+        let aq = &self.compiled.aq;
+        let intake = Arc::new(CompiledIntake::new(aq, self.intake.clone()));
+        Engine::restore_snapshot(aq.clone(), plan, intake, self.config.batch_size, r)
     }
 
     /// Instantiates a partitioned engine restored from a snapshot stream,

@@ -13,22 +13,18 @@
 //! 4. assemble events bottom-up, materializing intermediate results in node
 //!    buffers and emitting complete composites at the root.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use zstream_events::kernel::Bitmap;
 use zstream_events::{
-    EventBatch, EventRef, HashableValue, Record, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotResult, SnapshotWriter, Sym, Ts,
+    EventBatch, EventRef, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
+    SnapshotWriter, Ts,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
 
-use crate::intake::{IntakePred, IntakeScratch, OneClassBinding, SharedPredIndex};
+use crate::intake::{Admission, CompiledIntake, IndexLink, OneClassBinding, SharedPredIndex};
 use crate::metrics::EngineMetrics;
 use crate::obs::EngineObs;
 use crate::physical::plan::PhysicalPlan;
-
-pub use crate::intake::IntakeMode;
 
 /// A running query: a physical plan plus routing and round bookkeeping.
 #[derive(Debug)]
@@ -36,38 +32,18 @@ pub struct Engine {
     // zlint::allow(snapshot, "restore_snapshot receives the analyzed query from the caller; the checkpoint carries only round state")
     aq: Arc<AnalyzedQuery>,
     plan: PhysicalPlan,
-    /// Per-class intake predicates: analyzed single-class predicates plus
-    /// any route-by-field equality added by the builder.
+    /// Per-class intake predicates (analyzed single-class predicates plus
+    /// any route-by-field equality added by the builder), compiled once and
+    /// shared with sibling partition engines.
     // zlint::allow(snapshot, "restore_snapshot receives the intake predicates from the caller; not checkpoint state")
-    intake: Vec<Vec<TypedExpr>>,
-    /// The same predicates compiled for column-wise evaluation.
-    // zlint::allow(snapshot, "derived: recompiled from `intake` on construction and restore")
-    intake_compiled: Vec<Vec<IntakePred>>,
-    /// Distinct column-kernel predicates across all classes: each is
-    /// evaluated **once per batch** into a bitmap, no matter how many
-    /// classes share it.
-    // zlint::allow(snapshot, "derived: recompiled from `intake` on construction and restore")
-    uniq_preds: Vec<IntakePred>,
-    /// Per class, per predicate: index into `uniq_preds` for column-kernel
-    /// predicates, `None` for row-wise (`General`) ones.
-    // zlint::allow(snapshot, "derived: recompiled from `intake` on construction and restore")
-    col_pred_of: Vec<Vec<Option<usize>>>,
-    /// Reusable bitmap scratch (see [`IntakeScratch`] for the invariant).
-    // zlint::allow(snapshot, "scratch space: rebuilt empty, repopulated per batch")
-    scratch: IntakeScratch,
-    /// Subscription into a [`SharedPredIndex`]: for each entry of
-    /// `uniq_preds`, the shared bitmap slot to read when the caller passes
-    /// an index to [`Engine::push_columns_shared`] /
-    /// [`Engine::push_rows_shared`]. `None` (the default) keeps predicate
-    /// evaluation engine-local.
+    intake: Arc<CompiledIntake>,
+    /// The predicate index intake kernels read: a caller's shared index, or
+    /// a private one.
     // zlint::allow(snapshot, "wiring re-stamped by the caller after restore, not checkpoint state")
-    shared_slots: Option<Arc<Vec<u32>>>,
-    // zlint::allow(snapshot, "configuration re-stamped by the caller after restore, not checkpoint state")
-    intake_mode: IntakeMode,
-    /// Per-class interned schema name (intake schema matching is an integer
-    /// compare).
-    // zlint::allow(snapshot, "derived: re-interned from the analyzed query's class schemas")
-    class_schema: Vec<Sym>,
+    index: IndexLink,
+    /// Per-batch admission scratch (see [`Admission`]).
+    // zlint::allow(snapshot, "scratch space: rebuilt empty, repopulated per batch")
+    admission: Admission,
     /// Events buffered until a full batch is formed (push-one API).
     pending: Vec<EventRef>,
     // zlint::allow(snapshot, "restore_snapshot receives the batch size from the caller; not checkpoint state")
@@ -91,47 +67,26 @@ impl Engine {
         intake: Vec<Vec<TypedExpr>>,
         batch_size: usize,
     ) -> Engine {
+        let intake = Arc::new(CompiledIntake::new(&aq, intake));
+        Engine::with_intake(aq, plan, intake, batch_size)
+    }
+
+    /// [`Engine::new`] over an already-compiled intake (partition engines
+    /// share their query's).
+    pub(crate) fn with_intake(
+        aq: Arc<AnalyzedQuery>,
+        plan: PhysicalPlan,
+        intake: Arc<CompiledIntake>,
+        batch_size: usize,
+    ) -> Engine {
         assert!(batch_size >= 1);
         let n = aq.num_classes();
-        let intake_compiled: Vec<Vec<IntakePred>> =
-            intake.iter().map(|preds| preds.iter().map(IntakePred::compile).collect()).collect();
-        // Dedup column-kernel predicates across classes: classes routed by
-        // the same field share one bitmap evaluation per batch.
-        let mut uniq_preds: Vec<IntakePred> = Vec::new();
-        let mut seen: HashMap<(u8, usize, HashableValue), usize> = HashMap::new();
-        let col_pred_of: Vec<Vec<Option<usize>>> = intake_compiled
-            .iter()
-            .map(|preds| {
-                preds
-                    .iter()
-                    .map(|p| {
-                        p.kernel_key().map(|key| {
-                            *seen.entry(key).or_insert_with(|| {
-                                uniq_preds.push(p.clone());
-                                uniq_preds.len() - 1
-                            })
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let scratch = IntakeScratch {
-            pred: vec![Bitmap::new(); uniq_preds.len()],
-            pred_done: vec![false; uniq_preds.len()],
-            ..IntakeScratch::default()
-        };
-        let class_schema = aq.classes.iter().map(|c| c.schema.name_sym()).collect();
         Engine {
             aq,
             plan,
             intake,
-            intake_compiled,
-            uniq_preds,
-            col_pred_of,
-            scratch,
-            shared_slots: None,
-            intake_mode: IntakeMode::default(),
-            class_schema,
+            index: IndexLink::default(),
+            admission: Admission::default(),
             pending: Vec::with_capacity(batch_size),
             batch_size,
             watermark: 0,
@@ -177,32 +132,19 @@ impl Engine {
         &mut self.metrics
     }
 
-    /// Overrides the intake-path choice (default [`IntakeMode::Auto`]).
-    /// `Kernel` / `Rows` pin columnar intake to one path — used by the
-    /// differential tests (row path as oracle) and ablation benchmarks.
-    pub fn set_intake_mode(&mut self, mode: IntakeMode) {
-        self.intake_mode = mode;
-    }
-
-    /// The configured intake-path choice.
-    pub fn intake_mode(&self) -> IntakeMode {
-        self.intake_mode
-    }
-
     /// Subscribes this engine to a [`SharedPredIndex`]: `slots` must be the
     /// subscription returned by [`SharedPredIndex::register`] for this
-    /// engine's intake predicates (one shared slot per distinct
-    /// column-kernel predicate, in the engine's dedup order). From then on,
-    /// the shared-aware push variants evaluate distinct predicates at most
-    /// once per batch *across every subscribed engine* instead of once per
-    /// engine.
+    /// engine's intake predicates (one slot per distinct column kernel).
+    /// From then on, [`Engine::push_columns_shared`] given that index
+    /// evaluates each distinct kernel at most once per batch *across every
+    /// subscribed engine* instead of once per engine.
     pub fn set_shared_slots(&mut self, slots: Arc<Vec<u32>>) {
         debug_assert_eq!(
             slots.len(),
-            self.uniq_preds.len(),
-            "subscription arity must match the engine's distinct kernel predicates"
+            self.intake.num_kernels(),
+            "subscription arity must match the engine's distinct kernels"
         );
-        self.shared_slots = Some(slots);
+        self.index.subscribe(slots);
     }
 
     /// Latest event timestamp seen.
@@ -252,61 +194,61 @@ impl Engine {
         self.push_columns_shared(batch, None)
     }
 
-    /// [`Engine::push_columns`] with an optional [`SharedPredIndex`]:
-    /// column predicates whose shared bitmap is already valid for this
-    /// batch are reused instead of re-evaluated, and ones this engine
-    /// evaluates become valid for later subscribers. Match output is
-    /// byte-identical to the unshared path — only the evaluation count
-    /// changes.
+    /// [`Engine::push_columns`] through a [`SharedPredIndex`] this engine
+    /// subscribed to ([`Engine::set_shared_slots`]): kernels whose bitmap
+    /// is already valid for this batch are reused instead of re-evaluated,
+    /// and ones this engine evaluates become valid for later subscribers.
+    /// `None`, or an engine that never subscribed, evaluates through the
+    /// engine's private index. Match output is identical either way — only
+    /// the evaluation count changes.
     pub fn push_columns_shared(
         &mut self,
         batch: &EventBatch,
         shared: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
+        self.push_selected(batch, None, shared)
+    }
+
+    /// Selection-vector variant of [`Engine::push_columns`]: routes only the
+    /// given (ascending) `rows` of the shared batch and runs one round. The
+    /// batch is shared storage, never copied, and the handles materialized
+    /// for surviving rows point into it (identities preserved). Semantics
+    /// are identical to `push_columns` over a batch of exactly the selected
+    /// rows. Kernels still evaluate whole columns, so a call costs
+    /// O(batch); a [`crate::PartitionedEngine`] fans one evaluation out to
+    /// all its keys instead.
+    pub fn push_rows(&mut self, batch: &EventBatch, rows: &[u32]) -> Vec<Record> {
+        self.push_selected(batch, Some(rows), None)
+    }
+
+    /// Routes `input` (`None`: every row) of a columnar batch and runs one
+    /// round.
+    fn push_selected(
+        &mut self,
+        batch: &EventBatch,
+        input: Option<&[u32]>,
+        shared: Option<&mut SharedPredIndex>,
+    ) -> Vec<Record> {
         self.route_pending();
-        self.route_columns(batch, None, shared);
+        self.route_columns(batch, input, shared);
         let mut out = Vec::new();
         self.round(&mut out);
         out
     }
 
-    /// Selection-vector variant of [`Engine::push_columns`]: routes only the
-    /// given (ascending) `rows` of the shared batch and runs one round.
-    /// This is the shard/partition form of vectorized intake — the batch is
-    /// shared storage, never copied, and the handles materialized for
-    /// surviving rows point into it (identities preserved). Semantics are
-    /// identical to `push_columns` over a batch of exactly the selected
-    /// rows.
-    pub fn push_rows(&mut self, batch: &EventBatch, rows: &[u32]) -> Vec<Record> {
-        self.push_rows_shared(batch, rows, None)
-    }
-
-    /// [`Engine::push_rows`] with an optional [`SharedPredIndex`] (see
-    /// [`Engine::push_columns_shared`]). Sparse selections fall back to
-    /// row-at-a-time narrowing and never touch the index.
-    pub fn push_rows_shared(
+    /// Partition-key intake: routes `rows` (ascending, non-empty) of a
+    /// batch whose admission the partitioned engine already evaluated
+    /// once for all its keys, then runs one round, appending its matches
+    /// to `out`. Costs O(`rows`): each row tests its admission bits.
+    pub(crate) fn push_admitted(
         &mut self,
         batch: &EventBatch,
         rows: &[u32],
-        shared: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
-        let mut out = Vec::new();
-        self.push_rows_into(batch, rows, shared, &mut out);
-        out
-    }
-
-    /// [`Engine::push_rows_shared`], appending the round's matches to
-    /// `out` (a partitioned engine collects every partition's matches into
-    /// one vector this way).
-    pub(crate) fn push_rows_into(
-        &mut self,
-        batch: &EventBatch,
-        rows: &[u32],
-        shared: Option<&mut SharedPredIndex>,
+        admission: &Admission,
         out: &mut Vec<Record>,
     ) {
         self.route_pending();
-        self.route_columns(batch, Some(rows), shared);
+        self.admit_rows(batch, Some(rows), admission);
         self.round(out);
     }
 
@@ -335,29 +277,39 @@ impl Engine {
 
     /// Column-wise intake of one batch (§4.1 push-down over columns).
     /// `input` restricts intake to those (ascending) rows of the batch;
-    /// `None` means every row.
-    ///
-    /// Dense inputs take the **kernel path**: each distinct compiled
-    /// predicate evaluates once over its whole column into a bitmap, class
-    /// bitmaps AND together, and only then do survivors materialize. Sparse
-    /// selections fall back to row-at-a-time narrowing — partitioned intake
-    /// routes one small per-key selection at a time through this function,
-    /// and scanning full columns per key would cost O(batch × keys).
+    /// `None` means every row. Each distinct kernel evaluates once over its
+    /// whole column through the predicate index, class bitmaps AND
+    /// together, and only the survivors materialize.
     fn route_columns(
         &mut self,
         batch: &EventBatch,
         input: Option<&[u32]>,
         shared: Option<&mut SharedPredIndex>,
     ) {
-        let n = batch.len();
-        let n_input = input.map_or(n, <[u32]>::len);
-        if n_input == 0 {
+        if input.map_or(batch.is_empty(), <[u32]>::is_empty) {
             return;
         }
+        let (index, slots) = self.index.resolve(shared, &self.intake);
+        let mut admission = std::mem::take(&mut self.admission);
+        let cost = self.intake.admit(batch, input, index, slots, &mut admission);
+        self.admit_rows(batch, input, &admission);
+        self.admission = admission;
+        if let Some(obs) = &self.obs {
+            obs.kernel_rows_evaluated.add(cost.kernel_rows);
+            obs.kernel_fallback_rows.add(cost.fallback_rows);
+        }
+    }
+
+    /// Routes the non-empty `input` (`None`: every row) of a batch whose
+    /// admission is evaluated: checks time order, advances the watermark,
+    /// and materializes the admitted rows into their classes' leaf buffers
+    /// in the same class-then-row order as the per-event path fills them,
+    /// counting offered and admitted rows.
+    fn admit_rows(&mut self, batch: &EventBatch, input: Option<&[u32]>, admission: &Admission) {
         let ts_col = batch.ts_column();
-        let (first, last) = match input {
-            None => (0usize, n - 1),
-            Some(rows) => (rows[0] as usize, rows[rows.len() - 1] as usize),
+        let (first, last, n_input) = match input {
+            None => (0, batch.len() - 1, batch.len()),
+            Some(rows) => (rows[0] as usize, rows[rows.len() - 1] as usize, rows.len()),
         };
         // Hard check, not a debug assert: arrival-order (unsorted) batches
         // are an ordinary product of the events API now and must never feed
@@ -375,197 +327,32 @@ impl Engine {
         );
         self.metrics.events_in += n_input as u64;
         self.watermark = self.watermark.max(ts_col[last]);
-        let dense = match self.intake_mode {
-            // Kernels pay O(batch) per evaluated column; worth it when the
-            // selection covers at least a quarter of the batch.
-            IntakeMode::Auto => input.is_none_or(|rows| rows.len() * 4 >= n),
-            IntakeMode::Kernel => true,
-            IntakeMode::Rows => false,
-        };
-        if dense {
-            self.route_columns_kernel(batch, input, shared);
-        } else {
-            self.route_columns_rows(batch, input);
-        }
-    }
-
-    /// Kernel intake: bitmap evaluation per distinct predicate, AND per
-    /// class, union popcount for `events_admitted`, set-bit materialization.
-    /// Produces exactly the per-event path's admissions in the same
-    /// class-then-row order.
-    fn route_columns_kernel(
-        &mut self,
-        batch: &EventBatch,
-        input: Option<&[u32]>,
-        mut shared: Option<&mut SharedPredIndex>,
-    ) {
-        let n = batch.len();
-        let n_input = input.map_or(n, <[u32]>::len);
-        let batch_schema = batch.schema().name_sym();
-        let (mut rows_evaluated, mut fallback_rows) = (0u64, 0u64);
-        // Disjoint field borrows: predicates + scratch stay borrowed across
-        // the loop while `plan`/counters are touched independently.
-        let scratch = &mut self.scratch;
-        let intake_compiled = &self.intake_compiled;
-        let uniq_preds = &self.uniq_preds;
-        let col_pred_of = &self.col_pred_of;
-        let shared_slots = self.shared_slots.as_deref();
-        scratch.pred_done.iter_mut().for_each(|d| *d = false);
-        scratch.union.reset(n, false);
-        for c in 0..self.aq.num_classes() {
-            if self.class_schema[c] != batch_schema {
-                continue;
-            }
-            self.offered[c] += n_input as u64;
-            match input {
-                None => scratch.acc.reset(n, true),
-                Some(rows) => {
-                    scratch.acc.reset(n, false);
-                    scratch.acc.set_rows(rows);
-                }
-            }
-            for (pi, pred) in intake_compiled[c].iter().enumerate() {
-                if !scratch.acc.any() {
-                    break;
-                }
-                match col_pred_of[c][pi] {
-                    // With a shared index, the bitmap may already be valid
-                    // from *another* engine's evaluation of an identical
-                    // predicate this batch; whoever evaluates pays the
-                    // rows-evaluated accounting once.
-                    Some(u) => match (shared.as_deref_mut(), shared_slots) {
-                        (Some(index), Some(slots)) => {
-                            let (bitmap, evaluated) =
-                                index.bitmap_for(slots[u], &uniq_preds[u], batch);
-                            if evaluated {
-                                rows_evaluated += n as u64;
-                            }
-                            scratch.acc.and(bitmap);
-                        }
-                        _ => {
-                            if !scratch.pred_done[u] {
-                                uniq_preds[u].eval_column(batch, &mut scratch.pred[u]);
-                                scratch.pred_done[u] = true;
-                                rows_evaluated += n as u64;
-                            }
-                            scratch.acc.and(&scratch.pred[u]);
-                        }
-                    },
-                    None => {
-                        // General predicates stay row-wise, over surviving
-                        // rows only.
-                        fallback_rows += scratch.acc.count() as u64;
-                        scratch.acc.retain(|row| pred.passes(batch, row, c));
-                    }
-                }
-            }
-            let admitted = scratch.acc.count() as u64;
-            self.admitted[c] += admitted;
-            scratch.union.or(&scratch.acc);
-            let leaf = self.plan.leaf_of_class[c];
-            for row in scratch.acc.ones() {
-                self.plan.nodes[leaf].buf.push(Record::primitive(batch.event(row)));
-            }
-        }
-        let admitted_delta = scratch.union.count() as u64;
-        self.metrics.events_admitted += admitted_delta;
-        if let Some(obs) = &self.obs {
-            obs.admitted.add(admitted_delta);
-            obs.kernel_rows_evaluated.add(rows_evaluated);
-            obs.kernel_fallback_rows.add(fallback_rows);
-        }
-    }
-
-    /// Row-at-a-time intake for sparse selections: narrows a `Vec<u32>`
-    /// selection per class (no O(batch) scratch), then unions admissions
-    /// via bitmap OR + popcount.
-    fn route_columns_rows(&mut self, batch: &EventBatch, input: Option<&[u32]>) {
-        let n = batch.len();
-        let n_input = input.map_or(n, <[u32]>::len);
-        let batch_schema = batch.schema().name_sym();
-        // Phase 1: per matched class, narrow the input to its final
-        // selection (`None` = the whole input survived every predicate).
-        let mut class_sels: Vec<(usize, Option<Vec<u32>>)> = Vec::new();
-        for c in 0..self.aq.num_classes() {
-            if self.class_schema[c] != batch_schema {
-                continue;
-            }
-            self.offered[c] += n_input as u64;
-            let mut sel: Option<Vec<u32>> = None;
-            for pred in &self.intake_compiled[c] {
-                match (&mut sel, input) {
-                    (Some(rows), _) => rows.retain(|r| pred.passes(batch, *r as usize, c)),
-                    (None, None) => {
-                        sel = Some(
-                            (0..n as u32).filter(|r| pred.passes(batch, *r as usize, c)).collect(),
-                        );
-                    }
-                    (None, Some(rows)) => {
-                        sel = Some(
-                            rows.iter()
-                                .copied()
-                                .filter(|r| pred.passes(batch, *r as usize, c))
-                                .collect(),
-                        );
-                    }
-                }
-                if matches!(&sel, Some(rows) if rows.is_empty()) {
-                    break;
-                }
-            }
-            class_sels.push((c, sel));
-        }
-        // `events_admitted` counts input rows admitted into at least one
-        // class: the whole input if any class kept everything, otherwise
-        // the popcount of the OR of the per-class selections.
-        let admitted_delta = if class_sels.iter().any(|(_, sel)| sel.is_none()) {
-            n_input as u64
-        } else {
-            match class_sels.as_slice() {
-                [] => 0,
-                [(_, Some(rows))] => rows.len() as u64,
-                many => {
-                    let union = &mut self.scratch.union;
-                    union.reset(n, false);
-                    for (_, sel) in many {
-                        union.set_rows(sel.as_deref().unwrap_or(&[]));
-                    }
-                    union.count() as u64
-                }
-            }
-        };
-        self.metrics.events_admitted += admitted_delta;
-        if let Some(obs) = &self.obs {
-            obs.admitted.add(admitted_delta);
-            obs.kernel_fallback_rows.add(n_input as u64);
-        }
-        // Phase 2: materialize leaf records for the surviving rows, in the
-        // same class-then-row order as the per-event path fills buffers.
-        for (c, sel) in class_sels {
-            let leaf = self.plan.leaf_of_class[c];
-            let admit = |row: usize, this: &mut PhysicalPlan| {
-                this.nodes[leaf].buf.push(Record::primitive(batch.event(row)));
+        for &c in &admission.classes {
+            let bits = &admission.rows[c];
+            let buf = &mut self.plan.nodes[self.plan.leaf_of_class[c]].buf;
+            let mut admitted = 0u64;
+            let mut admit = |row: usize| {
+                buf.push(Record::primitive(batch.event(row)));
+                admitted += 1;
             };
-            match (sel, input) {
-                (None, None) => {
-                    self.admitted[c] += n as u64;
-                    for row in 0..n {
-                        admit(row, &mut self.plan);
-                    }
-                }
-                (None, Some(rows)) => {
-                    self.admitted[c] += rows.len() as u64;
-                    for row in rows {
-                        admit(*row as usize, &mut self.plan);
-                    }
-                }
-                (Some(rows), _) => {
-                    self.admitted[c] += rows.len() as u64;
-                    for row in rows {
-                        admit(row as usize, &mut self.plan);
-                    }
+            // A selection tests its own rows: the admission may also cover
+            // rows routed elsewhere (a partitioned engine's other keys).
+            match input {
+                None => bits.ones().for_each(&mut admit),
+                Some(rows) => {
+                    rows.iter().map(|&r| r as usize).filter(|&r| bits.get(r)).for_each(&mut admit)
                 }
             }
+            self.offered[c] += n_input as u64;
+            self.admitted[c] += admitted;
+        }
+        let admitted_any = match input {
+            None => admission.union.count(),
+            Some(rows) => rows.iter().filter(|&&r| admission.union.get(r as usize)).count(),
+        } as u64;
+        self.metrics.events_admitted += admitted_any;
+        if let Some(obs) = &self.obs {
+            obs.admitted.add(admitted_any);
         }
     }
 
@@ -579,12 +366,12 @@ impl Engine {
         let mut admitted_any = false;
         let event_schema = event.schema().name_sym();
         for c in 0..self.aq.num_classes() {
-            if self.class_schema[c] != event_schema {
+            if self.intake.class_schema[c] != event_schema {
                 continue;
             }
             self.offered[c] += 1;
             let binding = OneClassBinding { class: c, event };
-            if self.intake[c]
+            if self.intake.exprs[c]
                 .iter()
                 .all(|p| matches!(p.eval(&binding), Ok(zstream_events::Value::Bool(true))))
             {
@@ -707,21 +494,22 @@ impl Engine {
         self.metrics.plan_switches += 1;
     }
 
-    /// Rebuilds an engine from a [`Snapshot`] stream. `aq`, `plan` and
-    /// `intake` must come from compiling the same query with the same plan
+    /// Rebuilds an engine from a [`Snapshot`] stream (the public form is
+    /// [`crate::CompiledParts::restore_engine`]). `aq`, `plan` and `intake`
+    /// must come from compiling the same query with the same plan
     /// configuration the snapshotted engine ran (checkpoints carry state,
     /// not code — the caller re-derives the plan and this injects the
     /// buffers, cursors, watermark and counters into it). Hash indexes are
     /// *not* snapshotted: they are derived state and re-sync incrementally
     /// from the restored buffers on the next probe.
-    pub fn restore_snapshot(
+    pub(crate) fn restore_snapshot(
         aq: Arc<AnalyzedQuery>,
         plan: PhysicalPlan,
-        intake: Vec<Vec<TypedExpr>>,
+        intake: Arc<CompiledIntake>,
         batch_size: usize,
         r: &mut SnapshotReader<'_>,
     ) -> SnapshotResult<Engine> {
-        let mut engine = Engine::new(aq, plan, intake, batch_size);
+        let mut engine = Engine::with_intake(aq, plan, intake, batch_size);
         engine.watermark = r.u64()?;
         engine.metrics = EngineMetrics::restore_snapshot(r)?;
         let n_classes = engine.aq.num_classes();
@@ -768,7 +556,7 @@ impl Snapshot for Engine {
     /// Serializes the evolving state: watermark, metrics, per-class intake
     /// counters, events pending a full batch, and every node buffer with
     /// its consumed cursor. The query, plan shape and intake predicates are
-    /// **not** written — [`Engine::restore_snapshot`] re-derives them from
+    /// **not** written — restoring re-derives them from
     /// the compiled query, which also makes the snapshot independent of
     /// process-local symbol ids and compiled-predicate layout.
     fn write_snapshot(&self, w: &mut SnapshotWriter) {

@@ -10,8 +10,8 @@
 //! * [`engine`] — the batch-iterator evaluation model of §4.3 (idle and
 //!   assembly rounds, EAT push-down),
 //! * [`intake`] — compiled intake predicates (§4.1 push-down over columns)
-//!   and the cross-query [`SharedPredIndex`] that evaluates each distinct
-//!   column predicate once per batch for a whole registry of queries,
+//!   and the [`SharedPredIndex`] every column kernel evaluates through,
+//!   once per batch for a whole registry of queries,
 //! * [`adaptive`] — runtime statistics sampling and on-the-fly plan
 //!   switching (§5.3),
 //! * [`metrics`] — throughput and the logical peak-memory accounting used to
@@ -40,7 +40,7 @@ pub use cost::shape::PlanShape;
 pub use cost::stats::Statistics;
 pub use engine::Engine;
 pub use error::CoreError;
-pub use intake::{IntakeMode, SharedPredIndex};
+pub use intake::SharedPredIndex;
 pub use metrics::EngineMetrics;
 pub use obs::EngineObs;
 pub use partition::{can_partition_by, PartitionedEngine};

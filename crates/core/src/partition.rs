@@ -25,7 +25,7 @@ use zstream_lang::{AnalyzedQuery, TypedExpr};
 use crate::builder::CompiledQuery;
 use crate::engine::Engine;
 use crate::error::CoreError;
-use crate::intake::SharedPredIndex;
+use crate::intake::{Admission, CompiledIntake, IndexLink, SharedPredIndex};
 use crate::metrics::EngineMetrics;
 use crate::physical::plan::PlanConfig;
 
@@ -91,8 +91,10 @@ pub struct PartitionedEngine {
     compiled: CompiledQuery,
     // zlint::allow(snapshot, "restore_snapshot receives the plan config from the caller; not checkpoint state")
     plan_config: PlanConfig,
+    /// The query's intake, compiled once and shared by every partition
+    /// engine.
     // zlint::allow(snapshot, "restore_snapshot receives the intake predicates from the caller; not checkpoint state")
-    intake: Vec<Vec<TypedExpr>>,
+    intake: Arc<CompiledIntake>,
     // zlint::allow(snapshot, "restore_snapshot receives the batch size from the caller; not checkpoint state")
     batch_size: usize,
     /// Field index of the partition attribute per class schema — all class
@@ -101,14 +103,14 @@ pub struct PartitionedEngine {
     // zlint::allow(snapshot, "restore_snapshot receives the partition field from the caller; not checkpoint state")
     field: String,
     partitions: HashMap<HashableValue, Engine>,
-    /// Intake-path choice stamped onto every partition engine (existing and
-    /// future); see [`Engine::set_intake_mode`].
-    // zlint::allow(snapshot, "configuration re-stamped via set_intake_mode after restore, not checkpoint state")
-    intake_mode: crate::engine::IntakeMode,
-    /// Shared-index subscription stamped onto every partition engine
-    /// (existing and future); see [`Engine::set_shared_slots`].
+    /// The predicate index intake kernels read: a caller's shared index,
+    /// or a private one. Partition engines never evaluate intake on the
+    /// columnar paths — this engine does, once per batch.
     // zlint::allow(snapshot, "wiring re-stamped via set_shared_slots after restore, not checkpoint state")
-    shared_slots: Option<Arc<Vec<u32>>>,
+    index: IndexLink,
+    /// Per-batch admission, read by every partition engine.
+    // zlint::allow(snapshot, "scratch space: rebuilt empty, repopulated per batch")
+    admission: Admission,
     /// Per-batch grouping of rows by key.
     // zlint::allow(snapshot, "scratch space: rebuilt empty, repopulated per batch")
     groups: KeyGroups,
@@ -137,6 +139,7 @@ impl PartitionedEngine {
                  all classes on that field"
             )));
         }
+        let intake = Arc::new(CompiledIntake::new(&compiled.aq, intake));
         Ok(PartitionedEngine {
             compiled,
             plan_config,
@@ -144,8 +147,8 @@ impl PartitionedEngine {
             batch_size,
             field,
             partitions: HashMap::new(),
-            intake_mode: crate::engine::IntakeMode::default(),
-            shared_slots: None,
+            index: IndexLink::default(),
+            admission: Admission::default(),
             groups: KeyGroups::default(),
             events_in: 0,
             dropped: 0,
@@ -163,25 +166,18 @@ impl PartitionedEngine {
         self.partitions.len()
     }
 
-    /// Overrides the intake-path choice for every partition engine, existing
-    /// and future (default [`crate::engine::IntakeMode::Auto`]).
-    pub fn set_intake_mode(&mut self, mode: crate::engine::IntakeMode) {
-        self.intake_mode = mode;
-        for engine in self.partitions.values_mut() {
-            engine.set_intake_mode(mode);
-        }
-    }
-
-    /// Subscribes every partition engine (existing and future) to a
-    /// [`SharedPredIndex`]; `slots` must come from registering this query's
-    /// intake predicates (see [`Engine::set_shared_slots`]). Shared bitmaps
-    /// then also memoize *across partition keys* within one batch, not just
-    /// across queries.
+    /// Subscribes this engine to a [`SharedPredIndex`]; `slots` must come
+    /// from registering this query's intake predicates there (see
+    /// [`Engine::set_shared_slots`]). [`PartitionedEngine::push_rows_shared`]
+    /// given that index then shares kernel bitmaps with every other
+    /// subscriber.
     pub fn set_shared_slots(&mut self, slots: Arc<Vec<u32>>) {
-        for engine in self.partitions.values_mut() {
-            engine.set_shared_slots(slots.clone());
-        }
-        self.shared_slots = Some(slots);
+        debug_assert_eq!(
+            slots.len(),
+            self.intake.num_kernels(),
+            "subscription arity must match the query's distinct kernels"
+        );
+        self.index.subscribe(slots);
     }
 
     /// Pushes one event into its partition; returns completed matches.
@@ -239,23 +235,7 @@ impl PartitionedEngine {
     /// cheap handles. Output ordering and round-forcing semantics are
     /// identical to `push_batch` over the same rows.
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
-        self.push_columns_shared(batch, None)
-    }
-
-    /// [`PartitionedEngine::push_columns`] with an optional
-    /// [`SharedPredIndex`] (see [`Engine::push_columns_shared`]).
-    pub fn push_columns_shared(
-        &mut self,
-        batch: &EventBatch,
-        shared: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
-        let n = batch.len();
-        self.events_in += n as u64;
-        let Ok(field_idx) = batch.schema().field_index(&self.field) else {
-            self.dropped += n as u64;
-            return Vec::new();
-        };
-        self.push_selected(batch, field_idx, 0..n as u32, shared)
+        self.push_selected(batch, None, None)
     }
 
     /// Selection-vector variant of [`PartitionedEngine::push_columns`]: the
@@ -265,51 +245,64 @@ impl PartitionedEngine {
     /// storage and is never copied. Semantics are identical to
     /// `push_columns` over a batch containing exactly the selected rows.
     pub fn push_rows(&mut self, batch: &EventBatch, rows: &[u32]) -> Vec<Record> {
-        self.push_rows_shared(batch, rows, None)
+        self.push_selected(batch, Some(rows), None)
     }
 
-    /// [`PartitionedEngine::push_rows`] with an optional
-    /// [`SharedPredIndex`] (see [`Engine::push_rows_shared`]).
+    /// [`PartitionedEngine::push_rows`] through a [`SharedPredIndex`] this
+    /// engine subscribed to ([`PartitionedEngine::set_shared_slots`]);
+    /// `None`, or an engine that never subscribed, evaluates through the
+    /// engine's private index (see [`Engine::push_columns_shared`]).
     pub fn push_rows_shared(
         &mut self,
         batch: &EventBatch,
         rows: &[u32],
         shared: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
-        self.events_in += rows.len() as u64;
-        let Ok(field_idx) = batch.schema().field_index(&self.field) else {
-            self.dropped += rows.len() as u64;
-            return Vec::new();
-        };
-        self.push_selected(batch, field_idx, rows.iter().copied(), shared)
+        self.push_selected(batch, Some(rows), shared)
     }
 
-    /// Shared tail of the columnar intake paths: group the given rows by
-    /// partition key (first-seen key order, intra-key stream order), hand
-    /// each partition its row selection (forcing a round per receiving
-    /// partition), and emit in end-timestamp order. Groups hold 4-byte row
-    /// indices, not event handles — the batch stays shared storage all the
-    /// way into each partition's [`Engine::push_rows`] — and live in
-    /// scratch reused from batch to batch.
+    /// Shared body of the columnar intake paths over `input` (`None`:
+    /// every row). Groups the rows by partition key (first-seen key order,
+    /// intra-key stream order), evaluates intake **once** over all of them,
+    /// hands each partition its rows to materialize (forcing a round per
+    /// receiving partition), and emits in end-timestamp order. Groups hold
+    /// 4-byte row indices, not event handles — the batch stays shared
+    /// storage all the way into each partition — and, like the admission
+    /// bitmaps, live in scratch reused from batch to batch.
     fn push_selected(
         &mut self,
         batch: &EventBatch,
-        field_idx: usize,
-        rows: impl Iterator<Item = u32>,
-        mut shared: Option<&mut SharedPredIndex>,
+        input: Option<&[u32]>,
+        shared: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
+        let n_input = input.map_or(batch.len(), <[u32]>::len);
+        self.events_in += n_input as u64;
+        let Ok(field_idx) = batch.schema().field_index(&self.field) else {
+            self.dropped += n_input as u64;
+            return Vec::new();
+        };
+        if n_input == 0 {
+            return Vec::new();
+        }
         let col = batch.column(field_idx);
+        let keyed = |row: u32| (row, col.value(row as usize).hash_key());
         let mut groups = std::mem::take(&mut self.groups);
-        groups.group(rows.map(|row| (row, col.value(row as usize).hash_key())));
+        match input {
+            None => groups.group((0..n_input as u32).map(keyed)),
+            Some(rows) => groups.group(rows.iter().copied().map(keyed)),
+        }
+        let (index, slots) = self.index.resolve(shared, &self.intake);
+        let cost = self.intake.admit(batch, input, index, slots, &mut self.admission);
+        if let Some(obs) = &self.obs {
+            obs.kernel_rows_evaluated.add(cost.kernel_rows);
+            obs.kernel_fallback_rows.add(cost.fallback_rows);
+        }
+        let admission = std::mem::take(&mut self.admission);
         let mut out = Vec::new();
         for (g, &key) in groups.keys.iter().enumerate() {
-            self.partition_mut(key).push_rows_into(
-                batch,
-                groups.rows(g),
-                shared.as_deref_mut(),
-                &mut out,
-            );
+            self.partition_mut(key).push_admitted(batch, groups.rows(g), &admission, &mut out);
         }
+        self.admission = admission;
         self.groups = groups;
         out.sort_by_key(Record::end_ts);
         out
@@ -323,12 +316,12 @@ impl PartitionedEngine {
                 .compiled
                 .physical_plan(self.plan_config.clone())
                 .expect("template plan was validated at construction");
-            let mut engine =
-                Engine::new(self.compiled.aq.clone(), plan, self.intake.clone(), self.batch_size);
-            engine.set_intake_mode(self.intake_mode);
-            if let Some(slots) = &self.shared_slots {
-                engine.set_shared_slots(slots.clone());
-            }
+            let mut engine = Engine::with_intake(
+                self.compiled.aq.clone(),
+                plan,
+                Arc::clone(&self.intake),
+                self.batch_size,
+            );
             if let Some(obs) = &self.obs {
                 engine.set_obs(obs.clone());
             }
@@ -407,7 +400,7 @@ impl PartitionedEngine {
             let engine = Engine::restore_snapshot(
                 pe.compiled.aq.clone(),
                 plan,
-                pe.intake.clone(),
+                Arc::clone(&pe.intake),
                 pe.batch_size,
                 r,
             )?;

@@ -29,8 +29,8 @@
 //!   watermarks, lateness detection at the slack boundary, and (columnar
 //!   form) time-ordered re-packed [`EventBatch`] output with a zero-copy
 //!   pass-through for already-ordered input,
-//! * [`shard_of`] / [`split_by_field`] / [`split_batch_by_field`] /
-//!   [`split_batch_rows`] — stable hash routing of batches to worker shards
+//! * [`shard_of`] / [`split_by_field`] / [`split_batch_rows`] — stable
+//!   hash routing of batches to worker shards
 //!   for scale-out ingest (generalizing the §4.1 hash partitioning to a
 //!   fixed shard count); the row-index form is the zero-copy fan-out used by
 //!   the runtime's columnar ingest.
@@ -57,9 +57,7 @@ pub use record::{Record, Slot};
 pub use reorder::{
     repack_events, BatchRelease, ColumnarReorder, ReorderBuffer, ReorderOutcome, ReorderStats,
 };
-pub use route::{
-    shard_of, split_batch_by_field, split_batch_rows, split_by_field, RowSplit, ShardSplit,
-};
+pub use route::{shard_of, split_batch_rows, split_by_field, RowSplit, ShardSplit};
 pub use schema::{Field, Schema, SchemaBuilder};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter};
 pub use soa::{

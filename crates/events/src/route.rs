@@ -30,8 +30,8 @@ pub fn shard_of(key: &HashableValue, num_shards: usize) -> usize {
     (key.digest() % num_shards as u64) as usize
 }
 
-/// Result of [`split_by_field`] / [`split_batch_by_field`]: per-shard
-/// sub-batches plus the count of events that lacked the routing field.
+/// Result of [`split_by_field`]: per-shard sub-batches plus the count of
+/// events that lacked the routing field.
 #[derive(Debug)]
 pub struct ShardSplit {
     /// One time-ordered sub-batch per shard (same index as the shard id).
@@ -130,23 +130,6 @@ pub fn split_batch_rows(batch: &EventBatch, field: &str, num_shards: usize) -> R
     RowSplit { shards, dropped: 0 }
 }
 
-/// Columnar variant of [`split_by_field`]: routes a whole [`EventBatch`] by
-/// scanning the key column once and handing out row handles. Rows route
-/// identically to the per-event path. Implemented over [`split_batch_rows`];
-/// prefer that function when the consumer can work from selection vectors —
-/// materializing handles here costs one `Arc` bump per routed row.
-pub fn split_batch_by_field(batch: &EventBatch, field: &str, num_shards: usize) -> ShardSplit {
-    let rows = split_batch_rows(batch, field, num_shards);
-    ShardSplit {
-        shards: rows
-            .shards
-            .into_iter()
-            .map(|sel| sel.into_iter().map(|row| batch.event(row as usize)).collect())
-            .collect(),
-        dropped: rows.dropped,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,31 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_split_matches_per_event_split() {
-        let names = ["IBM", "Sun", "Oracle", "HP", "Dell"];
-        let events: Vec<EventRef> =
-            (0..50u64).map(|i| stock(i, i as i64, names[i as usize % 5], 1.0, 1)).collect();
-        let batch = EventBatch::from_events(&events).unwrap();
-        for n in [1usize, 2, 3, 7] {
-            let a = split_by_field(&events, "name", n);
-            let b = split_batch_by_field(&batch, "name", n);
-            assert_eq!(a.dropped, b.dropped);
-            for (x, y) in a.shards.iter().zip(&b.shards) {
-                let xs: Vec<String> = x.iter().map(|e| e.to_string()).collect();
-                let ys: Vec<String> = y.iter().map(|e| e.to_string()).collect();
-                assert_eq!(xs, ys, "batch and per-event routing must agree at {n} shards");
-            }
-        }
-    }
-
-    #[test]
     fn row_split_agrees_with_event_split_and_stays_ordered() {
         let names = ["IBM", "Sun", "Oracle", "HP", "Dell"];
         let events: Vec<EventRef> =
             (0..50u64).map(|i| stock(i, i as i64, names[i as usize % 5], 1.0, 1)).collect();
         let batch = EventBatch::from_events(&events).unwrap();
         for n in [1usize, 2, 3, 7] {
-            let by_event = split_batch_by_field(&batch, "name", n);
+            let by_event = split_by_field(&events, "name", n);
             let by_row = split_batch_rows(&batch, "name", n);
             assert_eq!(by_event.dropped, by_row.dropped);
             for (evs, rows) in by_event.shards.iter().zip(&by_row.shards) {
@@ -267,15 +232,7 @@ mod tests {
         let split = split_batch_rows(&batch, "no_such_field", 2);
         assert_eq!(split.dropped, 5);
         assert!(split.shards.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn batch_split_without_field_drops_all() {
-        let events: Vec<EventRef> = (0..5u64).map(|i| stock(i, 0, "IBM", 1.0, 1)).collect();
-        let batch = EventBatch::from_events(&events).unwrap();
-        let split = split_batch_by_field(&batch, "no_such_field", 2);
-        assert_eq!(split.dropped, 5);
-        assert!(split.shards.iter().all(Vec::is_empty));
+        assert_eq!(split.dropped, split_by_field(&events, "no_such_field", 2).dropped);
     }
 
     #[test]

@@ -160,9 +160,8 @@ fn lateness_tag(p: LatenessPolicy) -> u8 {
 /// Everything that shapes what a shard's state *means* is covered — worker
 /// count (key → shard mapping), batch size (chunking determinism), the
 /// home-shard rotation counter, and per slot the live/pause flags, routing,
-/// class count and window — while knobs that only affect scheduling
-/// (channel capacity) or performance (shared intake) are deliberately free
-/// to differ across restore.
+/// class count and window — while the knob that only affects scheduling
+/// (channel capacity) is deliberately free to differ across restore.
 pub(crate) fn write_fingerprint(
     w: &mut SnapshotWriter,
     fp: &Fingerprint,

@@ -31,21 +31,21 @@
 //!   recycled, so a dropped query's metrics keep their index in
 //!   [`RuntimeReport`] — and lifecycle state (tombstones, pause flags,
 //!   routes) survives checkpoint/restore.
-//! * **Shared predicate index** — overlapping intake conjuncts across
-//!   registered queries are interned per shard
-//!   ([`zstream_core::SharedPredIndex`]): each distinct column predicate
-//!   evaluates once per batch into a bitmap that fans out to every
-//!   subscriber's selection vector, so intake cost stays flat as the query
-//!   count grows ([`RuntimeBuilder::shared_intake`] toggles it; match
-//!   output is byte-identical either way).
+//! * **Shared predicate index** — every shard owns one
+//!   [`zstream_core::SharedPredIndex`], and every query it hosts evaluates
+//!   its intake through it: each distinct column predicate evaluates once
+//!   per batch into a bitmap that fans out to every subscriber, so intake
+//!   cost stays flat as the query count grows. A partitioned query
+//!   evaluates once per batch for all its keys; its per-key engines only
+//!   materialize their admitted rows.
 //! * **Columnar ingest** — [`Runtime::ingest_columns`] routes a whole
 //!   [`zstream_events::EventBatch`] with one scan of each hash query's key
 //!   column ([`zstream_events::split_batch_rows`], memoized symbol
 //!   digests), then ships the batch to each owning shard as an `Arc` bump
 //!   plus a row-selection vector — zero copies, no per-event handles on the
 //!   router. Shards evaluate through
-//!   [`zstream_core::PartitionedEngine::push_rows`] /
-//!   [`zstream_core::Engine::push_columns`]. The record path
+//!   [`zstream_core::PartitionedEngine::push_rows_shared`] /
+//!   [`zstream_core::Engine::push_columns_shared`]. The record path
 //!   ([`Runtime::ingest`]) remains for callers holding event slices.
 //! * **Routing** — for a query whose equality predicates connect all
 //!   classes on a field ([`zstream_core::can_partition_by`]), each event

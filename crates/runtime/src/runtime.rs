@@ -75,7 +75,6 @@ pub struct RuntimeBuilder {
     slack: Option<Ts>,
     lateness: LatenessPolicy,
     sources: usize,
-    shared_intake: bool,
     defs: Vec<(CompiledParts, Partitioning)>,
     obs: Option<Arc<Obs>>,
 }
@@ -90,7 +89,6 @@ impl Default for RuntimeBuilder {
             slack: None,
             lateness: LatenessPolicy::Drop,
             sources: 1,
-            shared_intake: true,
             defs: Vec::new(),
             obs: None,
         }
@@ -193,19 +191,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Whether worker shards share one intake-predicate index across the
-    /// whole registry (default: on). With sharing, each *distinct* column
-    /// predicate — keyed by event class and conjunct identity, independent
-    /// of which query compiled it — is evaluated once per columnar batch
-    /// into a bitmap that every subscribing query's intake reuses, so a
-    /// registry of N overlapping queries costs ~distinct-predicates scans
-    /// instead of N. Matching is byte-identical either way; `off` exists
-    /// as the per-query-scan baseline for benchmarks and bisection.
-    pub fn shared_intake(mut self, on: bool) -> Self {
-        self.shared_intake = on;
-        self
-    }
-
     /// Registers a compiled query; returns its id (assigned in
     /// registration order). Routing soundness is checked at [`build`].
     ///
@@ -272,7 +257,7 @@ impl RuntimeBuilder {
         let mut senders = Vec::with_capacity(self.workers);
         let mut handles = Vec::with_capacity(self.workers);
         for shard in 0..self.workers {
-            let (engines, shared) = build_engines(&queries, shard, &obs, self.shared_intake)?;
+            let (engines, shared) = build_engines(&queries, shard, &obs)?;
             let service_ns = obs
                 .metrics
                 .histogram("zstream_shard_service_ns", labels(&[("shard", &shard.to_string())]));
@@ -296,7 +281,6 @@ impl RuntimeBuilder {
             inst,
             queries,
             homes,
-            shared_intake: self.shared_intake,
             merge,
             batch_size: self.batch_size,
             heartbeat_interval: self.heartbeat_interval,
@@ -331,8 +315,7 @@ impl RuntimeBuilder {
     /// a [`RuntimeError::CheckpointDrift`] naming the first difference
     /// (fix the configuration), while an undecodable file is a
     /// [`RuntimeError::Checkpoint`] (the file is damaged). A different
-    /// `channel_capacity` or [`RuntimeBuilder::shared_intake`] setting is
-    /// allowed: they shape backpressure and evaluation cost, not state.
+    /// `channel_capacity` is allowed: it shapes backpressure, not state.
     /// Shards that had left the pool (worker failure) before the
     /// checkpoint are restored as already-departed: their matches are
     /// final, events routed to them count as dropped.
@@ -509,8 +492,7 @@ impl RuntimeBuilder {
             let handle = if alive {
                 let seq = r.u64()?;
                 let blob = r.blob()?;
-                let (engines, shared) =
-                    restore_engines(&queries, shard, blob, &obs, self.shared_intake)?;
+                let (engines, shared) = restore_engines(&queries, shard, blob, &obs)?;
                 let reply_tx = reply_tx.clone();
                 let hub = Arc::clone(&obs);
                 std::thread::Builder::new()
@@ -547,7 +529,6 @@ impl RuntimeBuilder {
             inst,
             queries,
             homes,
-            shared_intake: self.shared_intake,
             merge,
             batch_size: self.batch_size,
             heartbeat_interval: self.heartbeat_interval,
@@ -647,10 +628,6 @@ pub struct Runtime {
     /// dynamically created single-shard queries keep spreading round-robin
     /// (checkpointed: restore resumes the rotation).
     homes: usize,
-    /// Whether shards share one intake-predicate index across the registry
-    /// ([`RuntimeBuilder::shared_intake`]); consulted when wiring engines
-    /// for restored and created queries.
-    shared_intake: bool,
     merge: OrderedMerge,
     batch_size: usize,
     heartbeat_interval: usize,
@@ -738,12 +715,6 @@ impl Runtime {
         self.queries.len()
     }
 
-    /// Whether the worker shards evaluate intake predicates through the
-    /// shared predicate index ([`RuntimeBuilder::shared_intake`]).
-    pub fn shared_intake(&self) -> bool {
-        self.shared_intake
-    }
-
     /// The resolved routing of a live query.
     ///
     /// # Panics
@@ -824,8 +795,8 @@ impl Runtime {
     /// event. The new engines are instantiated on each live shard via the
     /// same channel-FIFO quiesce the checkpoint uses: the query sees
     /// exactly the events ingested after this call, and its intake
-    /// predicates join the shard's shared predicate index
-    /// ([`RuntimeBuilder::shared_intake`]) so overlapping predicates are
+    /// predicates join each shard's predicate index
+    /// ([`zstream_core::SharedPredIndex`]) so overlapping predicates are
     /// still evaluated once per batch.
     pub fn create(
         &mut self,

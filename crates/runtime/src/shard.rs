@@ -118,9 +118,7 @@ pub(crate) enum ShardReply {
 pub(crate) enum ShardEngine {
     /// Hash-routed query: per-key engines over this shard's key subset.
     Partitioned(Box<PartitionedEngine>),
-    /// Home-shard query: the whole (query-relevant) stream, one engine
-    /// (boxed: the engine carries intake scratch bitmaps and is much larger
-    /// than the partitioned wrapper).
+    /// Home-shard query: the whole (query-relevant) stream, one engine.
     Flat(Box<Engine>),
 }
 
@@ -132,26 +130,26 @@ impl ShardEngine {
         }
     }
 
+    /// Evaluates this query's share of one columnar batch through the
+    /// shard's predicate index. The route fixes both sides: hash routes
+    /// build partitioned engines and select rows, single-home routes build
+    /// flat engines and select the whole batch. The mixed pairs never
+    /// occur; they would still evaluate correctly, through the engine's
+    /// private index.
     fn push_columns(
         &mut self,
         batch: &EventBatch,
-        shared: Option<&mut SharedPredIndex>,
+        sel: &RowSel,
+        shared: &mut SharedPredIndex,
     ) -> Vec<Record> {
-        match self {
-            ShardEngine::Partitioned(e) => e.push_columns_shared(batch, shared),
-            ShardEngine::Flat(e) => e.push_columns_shared(batch, shared),
-        }
-    }
-
-    fn push_rows(
-        &mut self,
-        batch: &EventBatch,
-        rows: &[u32],
-        shared: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
-        match self {
-            ShardEngine::Partitioned(e) => e.push_rows_shared(batch, rows, shared),
-            ShardEngine::Flat(e) => e.push_rows_shared(batch, rows, shared),
+        match (self, sel) {
+            (_, RowSel::Skip) => Vec::new(),
+            (ShardEngine::Partitioned(e), RowSel::Rows(rows)) => {
+                e.push_rows_shared(batch, rows, Some(shared))
+            }
+            (ShardEngine::Flat(e), RowSel::All) => e.push_columns_shared(batch, Some(shared)),
+            (ShardEngine::Partitioned(e), RowSel::All) => e.push_columns(batch),
+            (ShardEngine::Flat(e), RowSel::Rows(rows)) => e.push_rows(batch, rows),
         }
     }
 
@@ -196,13 +194,13 @@ fn attach_slot_obs(engine: &mut ShardEngine, slot: usize, shard: usize, hub: &Ob
 }
 
 /// Instantiates one query's engine on this shard — `None` for single-shard
-/// queries homed elsewhere — subscribed to the shared predicate index (when
-/// enabled) and wired to the hub's per-query instruments.
+/// queries homed elsewhere — subscribed to the shard's predicate index and
+/// wired to the hub's per-query instruments.
 fn instantiate(
     def: &QueryDef,
     slot: usize,
     shard: usize,
-    shared: Option<&mut SharedPredIndex>,
+    shared: &mut SharedPredIndex,
     hub: &Obs,
 ) -> Result<Option<ShardEngine>, CoreError> {
     let mut engine = match &def.route {
@@ -215,9 +213,7 @@ fn instantiate(
         Route::Single(_) => None,
     };
     if let Some(engine) = &mut engine {
-        if let Some(shared) = shared {
-            engine.subscribe(def, shared);
-        }
+        engine.subscribe(def, shared);
         attach_slot_obs(engine, slot, shard, hub);
     }
     Ok(engine)
@@ -225,19 +221,18 @@ fn instantiate(
 
 /// Instantiates this shard's engines: one per live registry slot that can
 /// route events here (`None` for tombstones and for single-shard queries
-/// homed elsewhere), plus the shard's shared predicate index when
-/// `shared_intake` is on, with every engine's subscription registered.
+/// homed elsewhere), plus the shard's predicate index, with every engine's
+/// subscription registered.
 pub(crate) fn build_engines(
     queries: &[QueryState],
     shard: usize,
     hub: &Obs,
-    shared_intake: bool,
-) -> Result<(Vec<Option<ShardEngine>>, Option<SharedPredIndex>), CoreError> {
-    let mut shared = shared_intake.then(SharedPredIndex::new);
+) -> Result<(Vec<Option<ShardEngine>>, SharedPredIndex), CoreError> {
+    let mut shared = SharedPredIndex::new();
     let mut engines = Vec::with_capacity(queries.len());
     for (slot, state) in queries.iter().enumerate() {
         engines.push(match &state.def {
-            Some(def) => instantiate(def, slot, shard, shared.as_mut(), hub)?,
+            Some(def) => instantiate(def, slot, shard, &mut shared, hub)?,
             None => None,
         });
     }
@@ -277,8 +272,7 @@ pub(crate) fn restore_engines(
     shard: usize,
     bytes: &[u8],
     hub: &Obs,
-    shared_intake: bool,
-) -> SnapshotResult<(Vec<Option<ShardEngine>>, Option<SharedPredIndex>)> {
+) -> SnapshotResult<(Vec<Option<ShardEngine>>, SharedPredIndex)> {
     let mut r = SnapshotReader::new(bytes);
     let n = r.len()?;
     if n != queries.len() {
@@ -287,7 +281,7 @@ pub(crate) fn restore_engines(
             queries.len()
         )));
     }
-    let mut shared = shared_intake.then(SharedPredIndex::new);
+    let mut shared = SharedPredIndex::new();
     let mut engines = Vec::with_capacity(n);
     for (q, state) in queries.iter().enumerate() {
         let tag = r.u8()?;
@@ -315,9 +309,7 @@ pub(crate) fn restore_engines(
             },
         };
         if let (Some(engine), Some(def)) = (&mut engine, state.def.as_deref()) {
-            if let Some(shared) = shared.as_mut() {
-                engine.subscribe(def, shared);
-            }
+            engine.subscribe(def, &mut shared);
             // Fresh instruments, not restored state: observability
             // deliberately starts from zero after a restore (see the
             // checkpoint module docs).
@@ -385,7 +377,7 @@ fn eval_and_reply(
 pub(crate) fn run_shard(
     shard: usize,
     mut engines: Vec<Option<ShardEngine>>,
-    mut shared: Option<SharedPredIndex>,
+    mut shared: SharedPredIndex,
     rx: Receiver<ShardMsg>,
     tx: Sender<ShardReply>,
     initial_seq: u64,
@@ -400,26 +392,20 @@ pub(crate) fn run_shard(
                 let shared = &mut shared;
                 let ok =
                     eval_and_reply(shard, &mut seq, &mut engines, &tx, svc, watermark, |engines| {
-                        // One shared-bitmap generation per batch: the first
-                        // subscriber of each distinct predicate evaluates
-                        // it, every later subscriber reuses the bitmap.
-                        if let Some(shared) = shared.as_mut() {
-                            shared.begin_batch();
-                        }
+                        // One bitmap generation per batch: the first
+                        // subscriber of each distinct kernel evaluates it,
+                        // every later subscriber reuses the bitmap.
+                        shared.begin_batch();
                         let mut per_q: Vec<(usize, Vec<Record>)> = Vec::new();
                         for (q, sel) in per_query.iter().enumerate() {
                             let Some(engine) = engines.get_mut(q).and_then(Option::as_mut) else {
                                 continue;
                             };
-                            let records = match sel {
+                            match sel {
                                 RowSel::Skip => continue,
-                                RowSel::All => engine.push_columns(&batch, shared.as_mut()),
                                 RowSel::Rows(rows) if rows.is_empty() => continue,
-                                RowSel::Rows(rows) => {
-                                    engine.push_rows(&batch, rows, shared.as_mut())
-                                }
-                            };
-                            per_q.push((q, records));
+                                sel => per_q.push((q, engine.push_columns(&batch, sel, shared))),
+                            }
                         }
                         per_q
                     });
@@ -463,7 +449,7 @@ pub(crate) fn run_shard(
                 // panic: this shard leaves the pool rather than silently
                 // running without the query (the control thread validated
                 // the compiled parts, so this is a can't-happen guard).
-                match instantiate(&def, slot, shard, shared.as_mut(), &hub) {
+                match instantiate(&def, slot, shard, &mut shared, &hub) {
                     Ok(engine) => {
                         if let Some(e) = engines.get_mut(slot) {
                             *e = engine;

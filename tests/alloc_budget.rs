@@ -8,16 +8,21 @@
 //! per-batch grouping is reused, so what remains is mostly the composite
 //! records the plan materializes. The budget is a deterministic count, not
 //! a timing: two runs over the same input must allocate exactly the same
-//! number of times.
+//! number of times. The shard's own form — a sparse `split_batch_rows`
+//! selection through `PartitionedEngine::push_rows_shared` and a
+//! `SharedPredIndex` — keeps the same budget.
 //!
 //! Counting is per thread, so the test harness running tests in parallel
 //! does not blur the figures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PartitionedEngine, PlanConfig};
-use zstream::events::{EventBatch, Snapshot, SnapshotReader, SnapshotWriter};
+use zstream::core::{
+    CompiledParts, EngineBuilder, EngineConfig, PartitionedEngine, PlanConfig, SharedPredIndex,
+};
+use zstream::events::{split_batch_rows, EventBatch, Snapshot, SnapshotReader, SnapshotWriter};
 use zstream::workload::{StockConfig, StockGenerator};
 
 struct CountingAlloc;
@@ -75,7 +80,11 @@ const BATCH: usize = 1024;
 const BUDGET: f64 = 2.0;
 
 fn parts() -> CompiledParts {
-    EngineBuilder::parse(QUERY)
+    compile(QUERY)
+}
+
+fn compile(query: &str) -> CompiledParts {
+    EngineBuilder::parse(query)
         .unwrap()
         .config(EngineConfig { batch_size: 256, plan: PlanConfig::default() })
         .compile()
@@ -161,4 +170,38 @@ fn restored_engine_keeps_leaf_records_inline_and_the_budget() {
     assert_eq!(got, want);
     let rate = per_event(allocs, tail);
     assert!(rate <= BUDGET, "{rate:.3} allocations per event after restore (budget {BUDGET})");
+}
+
+#[test]
+fn shard_form_with_a_shared_index_stays_within_the_budget_and_repeats_exactly() {
+    // The keyed sequence plus one kernel conjunct, so the shared index has
+    // a bitmap to evaluate and fan out.
+    let parts = compile(
+        "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name AND B.volume > 100 WITHIN 60",
+    );
+    let batches = input();
+    // One of four shards' rows, as the runtime's router selects them.
+    let selections: Vec<Vec<u32>> =
+        batches.iter().map(|b| split_batch_rows(b, "name", 4).shards.swap_remove(0)).collect();
+    let events: usize = selections.iter().map(Vec::len).sum();
+    let mut counts = Vec::new();
+    for _ in 0..2 {
+        let mut index = SharedPredIndex::new();
+        let mut engine = parts.partitioned_engine("name").unwrap();
+        engine.set_shared_slots(Arc::new(index.register(&parts.intake)));
+        let mut matches = Vec::new();
+        let before = allocs();
+        for (batch, rows) in batches.iter().zip(&selections) {
+            index.begin_batch();
+            matches.push(engine.push_rows_shared(batch, rows, Some(&mut index)));
+        }
+        matches.push(engine.flush());
+        let spent = allocs() - before;
+        counts.push((spent, matches.iter().map(Vec::len).sum::<usize>()));
+    }
+    let (allocs, matches) = counts[0];
+    assert!(matches > events / 8, "the workload must be match-heavy, got {matches} matches");
+    let rate = allocs as f64 / events as f64;
+    assert!(rate <= BUDGET, "{rate:.3} allocations per event (budget {BUDGET}); {allocs} total");
+    assert_eq!(counts[0], counts[1], "allocation count must repeat exactly for a fixed input");
 }

@@ -1,20 +1,18 @@
-//! Kernel-intake differential suite: the columnar filter kernels
-//! ([`IntakeMode::Kernel`]) must produce **byte-identical** match streams to
-//! the row-at-a-time `IntakePred::passes` oracle ([`IntakeMode::Rows`]) and
-//! to the per-event record path — across stock and weblog workloads,
+//! Kernel-intake differential suite: columnar intake (column kernels
+//! evaluated through a predicate index, row predicates on the survivors)
+//! must produce **byte-identical** match streams to the per-event record
+//! path, which evaluates every intake `TypedExpr` one event at a time and
+//! shares no code with the kernels — across stock and weblog workloads,
 //! dictionary-encoded vs plain `Sym` columns, 1–8 worker shards
-//! (`split_batch_rows` fan-out), and float edge cases (`NaN`,
-//! `0.0 == -0.0`) flowing through `CmpLit` predicates.
-//!
-//! [`IntakeMode::Kernel`]: zstream::core::IntakeMode::Kernel
-//! [`IntakeMode::Rows`]: zstream::core::IntakeMode::Rows
+//! (`split_batch_rows` fan-out into partitioned engines), and float edge
+//! cases (`NaN`, `0.0 == -0.0`) flowing through `CmpLit` predicates.
 
 mod common;
 
 use common::{compile, compile_stock, rebatch};
 use proptest::prelude::*;
 
-use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, IntakeMode, PlanConfig};
+use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
 use zstream::events::{split_batch_rows, DictMode, EventBatch, EventRef, Schema, Value};
 use zstream::lang::SchemaMap;
 use zstream::workload::{WeblogConfig, WeblogGenerator};
@@ -24,11 +22,10 @@ use zstream::workload::{WeblogConfig, WeblogGenerator};
 /// all numbers under the total order both paths must share).
 const EDGE_FLOATS: &[f64] = &[0.0, -0.0, f64::NAN, 1.0, -1.5, 2.0, 1e300];
 
-/// Columnar path under an explicit intake mode; unsorted — a single engine's
-/// output order is deterministic, so the comparison is byte-for-byte.
-fn columnar_lines(parts: &CompiledParts, batches: &[EventBatch], mode: IntakeMode) -> Vec<String> {
+/// Columnar path; unsorted — a single engine's output order is
+/// deterministic, so the comparison is byte-for-byte.
+fn columnar_lines(parts: &CompiledParts, batches: &[EventBatch]) -> Vec<String> {
     let mut engine = parts.engine().unwrap();
-    engine.set_intake_mode(mode);
     let mut records = Vec::new();
     for batch in batches {
         records.extend(engine.push_columns(batch));
@@ -37,8 +34,8 @@ fn columnar_lines(parts: &CompiledParts, batches: &[EventBatch], mode: IntakeMod
     records.iter().map(|r| engine.format_match(r)).collect()
 }
 
-/// The per-event record path — the original `IntakePred::passes` oracle
-/// (one event per push, no columns involved at all).
+/// The oracle: the per-event record path (one event per push, each intake
+/// `TypedExpr` evaluated against the event, no columns involved at all).
 fn record_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
     let mut engine = parts.engine().unwrap();
     let mut records = Vec::new();
@@ -50,10 +47,9 @@ fn record_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
 }
 
 /// Shard fan-out: `split_batch_rows` selection vectors into `workers`
-/// independent engines via [`Engine::push_rows`], all forced to `mode`.
-/// Sparse selections are exactly where `Auto` would bail to the row path,
-/// so forcing `Kernel` here exercises the kernels on sub-batch selections.
-/// Output is sorted (cross-shard order is not defined).
+/// independent flat engines via [`Engine::push_rows`] — kernels over
+/// sub-batch selections. Output is sorted (cross-shard order is not
+/// defined).
 ///
 /// [`Engine::push_rows`]: zstream::core::Engine::push_rows
 fn sharded_lines(
@@ -61,15 +57,8 @@ fn sharded_lines(
     batches: &[EventBatch],
     field: &str,
     workers: usize,
-    mode: IntakeMode,
 ) -> Vec<String> {
-    let mut engines: Vec<_> = (0..workers)
-        .map(|_| {
-            let mut e = parts.engine().unwrap();
-            e.set_intake_mode(mode);
-            e
-        })
-        .collect();
+    let mut engines: Vec<_> = (0..workers).map(|_| parts.engine().unwrap()).collect();
     let mut records = Vec::new();
     for batch in batches {
         let split = split_batch_rows(batch, field, workers);
@@ -82,6 +71,37 @@ fn sharded_lines(
     for engine in &mut engines {
         records.extend(engine.flush());
     }
+    sorted_lines(parts, &records)
+}
+
+/// The runtime's shard form: `split_batch_rows` selection vectors into
+/// `workers` partitioned engines keyed on `field`, via
+/// [`PartitionedEngine::push_rows`] — intake evaluates once per batch per
+/// shard, and each key's engine materializes its own rows. Sorted.
+///
+/// [`PartitionedEngine::push_rows`]: zstream::core::PartitionedEngine::push_rows
+fn partitioned_sharded_lines(
+    parts: &CompiledParts,
+    batches: &[EventBatch],
+    field: &str,
+    workers: usize,
+) -> Vec<String> {
+    let mut engines: Vec<_> =
+        (0..workers).map(|_| parts.partitioned_engine(field).unwrap()).collect();
+    let mut records = Vec::new();
+    for batch in batches {
+        let split = split_batch_rows(batch, field, workers);
+        for (engine, rows) in engines.iter_mut().zip(&split.shards) {
+            records.extend(engine.push_rows(batch, rows));
+        }
+    }
+    for engine in &mut engines {
+        records.extend(engine.flush());
+    }
+    sorted_lines(parts, &records)
+}
+
+fn sorted_lines(parts: &CompiledParts, records: &[zstream::events::Record]) -> Vec<String> {
     let template = parts.engine().unwrap();
     let mut lines: Vec<String> = records.iter().map(|r| template.format_match(r)).collect();
     lines.sort();
@@ -141,10 +161,21 @@ const EDGE_QUERIES: &[(&str, bool)] = &[
     ("PATTERN A; B WHERE A.price * 2.0 > 1.0 AND B.price >= 0.0 WITHIN 6 RETURN A, B", false),
 ];
 
+/// `src` (an [`EDGE_QUERIES`] entry) with its classes chained by `volume`
+/// equalities, so the query partitions on `volume` and keeps every intake
+/// shape of the original.
+fn keyed_on_volume(src: &str) -> String {
+    let classes = &src["PATTERN ".len()..src.find(" WHERE").unwrap()];
+    let classes: Vec<&str> = classes.split("; ").collect();
+    let chain: String =
+        classes.windows(2).map(|w| format!("{}.volume = {}.volume AND ", w[0], w[1])).collect();
+    src.replacen("WHERE ", &format!("WHERE {chain}"), 1)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Kernel vs row oracle vs per-event record path, on dictionary-encoded
+    /// Columnar intake vs the per-event record path, on dictionary-encoded
     /// and plain columns, over the float-edge stream.
     #[test]
     fn kernel_matches_row_oracle_on_float_edges(
@@ -162,33 +193,43 @@ proptest! {
         let oracle = record_lines(&parts, &events);
         for dict in [DictMode::Plain, DictMode::Force] {
             let batches = with_dict(&batches, dict);
-            let kernel = columnar_lines(&parts, &batches, IntakeMode::Kernel);
-            let rows = columnar_lines(&parts, &batches, IntakeMode::Rows);
-            prop_assert_eq!(&kernel, &rows, "kernel vs rows ({src}, {dict:?})");
+            let kernel = columnar_lines(&parts, &batches);
             prop_assert_eq!(&kernel, &oracle, "kernel vs record path ({src}, {dict:?})");
         }
     }
 
-    /// Shard fan-out differential: selection-vector intake at 1–8 workers,
-    /// kernel vs row path per shard.
+    /// Shard fan-out differential: every edge query, keyed on `volume`,
+    /// through partitioned engines fed `split_batch_rows` selections at
+    /// 1–8 workers, vs the per-event record path.
     #[test]
     fn kernel_matches_row_oracle_under_shard_fanout(
         events in edge_stock_stream(40),
+        query_idx in 0usize..EDGE_QUERIES.len(),
         sizes in prop::collection::vec(1usize..11, 1..4),
+        engine_batch in 1usize..6,
         workers in 1usize..=8,
     ) {
-        let src = "PATTERN IBM; Sun WHERE IBM.price > 0.0 WITHIN 6 RETURN IBM, Sun";
-        let parts = compile_stock(src, 4);
+        let (src, routed) = EDGE_QUERIES[query_idx];
+        let src = keyed_on_volume(src);
+        let parts =
+            if routed { compile_stock(&src, engine_batch) } else { compile(&src, engine_batch) };
         let batches = rebatch(&events, &sizes);
-        let kernel = sharded_lines(&parts, &batches, "name", workers, IntakeMode::Kernel);
-        let rows = sharded_lines(&parts, &batches, "name", workers, IntakeMode::Rows);
-        prop_assert_eq!(kernel, rows, "sharded kernel vs rows at {} workers", workers);
+        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
+        let mut oracle = record_lines(&parts, &events);
+        oracle.sort();
+        for dict in [DictMode::Plain, DictMode::Force] {
+            let batches = with_dict(&batches, dict);
+            let sharded = partitioned_sharded_lines(&parts, &batches, "volume", workers);
+            prop_assert_eq!(
+                &sharded, &oracle, "{} at {} workers ({:?})", src, workers, dict
+            );
+        }
     }
 }
 
-/// Weblog workload (Query 8 shape): kernel vs row oracle on the columnar,
-/// partitioned and 1–8-worker sharded paths. Deterministic — the generated
-/// workload is seeded, and it must actually produce matches.
+/// Weblog workload (Query 8 shape): the columnar, partitioned and
+/// 1–8-worker sharded paths vs the per-event record path. Deterministic —
+/// the generated workload is seeded, and it must actually produce matches.
 #[test]
 fn weblog_kernel_matches_row_oracle_across_paths_and_workers() {
     let src = "PATTERN Publication; Project; Course \
@@ -206,36 +247,22 @@ fn weblog_kernel_matches_row_oracle_across_paths_and_workers() {
 
     let oracle = record_lines(&parts, &events);
     assert!(!oracle.is_empty(), "workload produced no matches — weak test");
-    let kernel = columnar_lines(&parts, &batches, IntakeMode::Kernel);
-    let rows = columnar_lines(&parts, &batches, IntakeMode::Rows);
-    assert_eq!(kernel, rows, "columnar kernel vs rows");
-    assert_eq!(kernel, oracle, "columnar kernel vs record path");
-
-    // PartitionedEngine stamps the mode onto every per-key engine; its
-    // output order is deterministic, so compare unsorted.
-    let partitioned = |mode: IntakeMode| {
-        let mut pe = parts.partitioned_engine("ip").unwrap();
-        pe.set_intake_mode(mode);
-        let mut records = Vec::new();
-        for batch in &batches {
-            records.extend(pe.push_columns(batch));
-        }
-        records.extend(pe.flush());
-        let template = parts.engine().unwrap();
-        records.iter().map(|r| template.format_match(r)).collect::<Vec<String>>()
-    };
-    assert_eq!(
-        partitioned(IntakeMode::Kernel),
-        partitioned(IntakeMode::Rows),
-        "partitioned kernel vs rows"
-    );
+    assert_eq!(columnar_lines(&parts, &batches), oracle, "columnar kernel vs record path");
 
     let mut sorted_oracle = oracle;
     sorted_oracle.sort();
+    let mut pe = parts.partitioned_engine("ip").unwrap();
+    let mut records = Vec::new();
+    for batch in &batches {
+        records.extend(pe.push_columns(batch));
+    }
+    records.extend(pe.flush());
+    assert_eq!(sorted_lines(&parts, &records), sorted_oracle, "partitioned vs record path");
+
     for workers in 1..=8 {
-        let kernel = sharded_lines(&parts, &batches, "ip", workers, IntakeMode::Kernel);
-        let rows = sharded_lines(&parts, &batches, "ip", workers, IntakeMode::Rows);
-        assert_eq!(kernel, rows, "sharded kernel vs rows at {workers} workers");
-        assert_eq!(kernel, sorted_oracle, "sharded kernel vs record path at {workers} workers");
+        let flat = sharded_lines(&parts, &batches, "ip", workers);
+        assert_eq!(flat, sorted_oracle, "sharded flat engines vs record path at {workers} workers");
+        let keyed = partitioned_sharded_lines(&parts, &batches, "ip", workers);
+        assert_eq!(keyed, sorted_oracle, "sharded partitioned vs record path at {workers} workers");
     }
 }

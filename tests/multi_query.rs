@@ -564,9 +564,11 @@ fn restore_distinguishes_drift_from_corruption() {
     restored.shutdown().unwrap();
 }
 
-/// Turning the shared predicate index off must not change a single byte of
-/// any query's match stream — sharing is an evaluation-count optimization,
-/// not a semantic one.
+/// Sharing a shard's predicate index across the registry must not change a
+/// single byte of any query's match stream — sharing is an
+/// evaluation-count optimization, not a semantic one: the runtime's output
+/// per slot equals one standalone engine per query, each evaluating its
+/// intake through its own private index.
 #[test]
 fn shared_index_off_is_byte_identical() {
     let pool = pool_parts();
@@ -584,26 +586,34 @@ fn shared_index_off_is_byte_identical() {
         .collect();
     let chunks = rebatch(&events, &[32]);
 
-    let run = |shared: bool| -> Vec<Vec<String>> {
-        let mut builder =
-            Runtime::builder().workers(2).batch_size(16).channel_capacity(2).shared_intake(shared);
-        for (p, r) in &pool {
-            builder.register(p.clone(), r.clone());
-        }
-        let mut runtime = builder.build().unwrap();
-        assert_eq!(runtime.shared_intake(), shared);
-        let mut matches: Vec<RuntimeMatch> = Vec::new();
-        for batch in &chunks {
-            matches.extend(runtime.ingest_columns(batch).unwrap());
-        }
-        let report = runtime.shutdown().unwrap();
-        matches.extend(report.matches);
-        lines_by_slot(&matches, &templates, pool.len())
-    };
-    let with = run(true);
-    let without = run(false);
-    assert!(with.iter().any(|l| !l.is_empty()), "no matches at all — weak test");
-    assert_eq!(with, without, "shared index changed a match stream");
+    let mut builder = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+    for (p, r) in &pool {
+        builder.register(p.clone(), r.clone());
+    }
+    let mut runtime = builder.build().unwrap();
+    let mut matches: Vec<RuntimeMatch> = Vec::new();
+    for batch in &chunks {
+        matches.extend(runtime.ingest_columns(batch).unwrap());
+    }
+    matches.extend(runtime.shutdown().unwrap().matches);
+    let shared = lines_by_slot(&matches, &templates, pool.len());
+
+    let standalone: Vec<Vec<String>> = pool
+        .iter()
+        .map(|(parts, _)| {
+            let mut engine = parts.engine().unwrap();
+            let mut records = Vec::new();
+            for batch in &chunks {
+                records.extend(engine.push_columns(batch));
+            }
+            records.extend(engine.flush());
+            let mut lines: Vec<String> = records.iter().map(|r| engine.format_match(r)).collect();
+            lines.sort();
+            lines
+        })
+        .collect();
+    assert!(shared.iter().all(|l| !l.is_empty()), "a query matched nothing — weak test");
+    assert_eq!(shared, standalone, "the shared index changed a match stream");
 }
 
 /// The weblog workload through the shared runtime: three overlapping
