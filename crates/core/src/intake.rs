@@ -2,9 +2,9 @@
 //! through.
 //!
 //! The §4.1 push-down applies each single-class intake predicate once, as
-//! events enter the leaf buffers. [`CompiledIntake`] compiles a query's
+//! events enter the leaf buffers. `CompiledIntake` compiles a query's
 //! per-class predicates once: a comparison of one attribute with a literal
-//! becomes a column kernel ([`IntakePred`]) that evaluates a whole batch
+//! becomes a column kernel (`IntakePred`) that evaluates a whole batch
 //! column into a bitmap; anything else stays a row predicate, tested only
 //! on the rows the kernels before it kept. A query's distinct kernels are
 //! deduplicated, so a kernel shared by several classes evaluates once per

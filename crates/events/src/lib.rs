@@ -22,20 +22,17 @@
 //!   pointers plus a start time and an end time. Composite events produced by
 //!   operators are `Record`s; `Slot::Many` holds Kleene-closure groups and
 //!   `Slot::None` represents the `(NULL, Rr)` rows emitted by NSEQ,
-//! * [`Batcher`] — splits an ordered event stream into fixed-size batches for
-//!   the batch-iterator model of §4.3,
-//! * [`ReorderBuffer`] / [`ColumnarReorder`] — the §4.1 reordering operator
-//!   for disordered streams: bounded-slack buffering with per-source
-//!   watermarks, lateness detection at the slack boundary, and (columnar
-//!   form) time-ordered re-packed [`EventBatch`] output with a zero-copy
-//!   pass-through for already-ordered input,
+//! * [`ColumnarReorder`] — the §4.1 reordering operator for disordered
+//!   streams: bounded-slack buffering with per-source watermarks, lateness
+//!   detection at the slack boundary, and release either as the original
+//!   row handles or as time-ordered re-packed [`EventBatch`]es with a
+//!   zero-copy pass-through for already-ordered input,
 //! * [`shard_of`] / [`split_by_field`] / [`split_batch_rows`] — stable
 //!   hash routing of batches to worker shards
 //!   for scale-out ingest (generalizing the §4.1 hash partitioning to a
 //!   fixed shard count); the row-index form is the zero-copy fan-out used by
 //!   the runtime's columnar ingest.
 
-mod batch;
 mod error;
 mod event;
 pub mod kernel;
@@ -49,14 +46,11 @@ mod sym;
 mod time;
 mod value;
 
-pub use batch::Batcher;
 pub use error::EventError;
 pub use event::{stock, Event, EventBuilder};
 pub use kernel::{cmp_value, filter_cmp, filter_str_eq, Bitmap, CmpOp};
 pub use record::{Record, Slot};
-pub use reorder::{
-    repack_events, BatchRelease, ColumnarReorder, ReorderBuffer, ReorderOutcome, ReorderStats,
-};
+pub use reorder::{repack_events, Admitted, BatchRelease, ColumnarReorder, ReorderStats};
 pub use route::{shard_of, split_batch_rows, split_by_field, RowSplit, ShardSplit};
 pub use schema::{Field, Schema, SchemaBuilder};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter};

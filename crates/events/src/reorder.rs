@@ -3,22 +3,22 @@
 //! §4.1 of the paper: *"ZStream assumes that primitive events from data
 //! sources continuously stream into leaf buffers in time order. If disorder
 //! is a problem, a reordering operator may be placed just after the leaf
-//! buffer."* Two implementations of that operator live here:
+//! buffer."* [`ColumnarReorder`] is that operator, in the multi-source form
+//! the scale-out runtime puts in front of its ingest: it buffers cheap
+//! `(Arc<BatchData>, row)` handles (no per-event allocation) inside a
+//! bounded *slack* window, tracks one high-water mark **per source**, and
+//! releases rows up to the *global* frontier `min(high-water over sources)
+//! − slack`. A row arriving more than `slack` behind its source's
+//! high-water mark cannot be ordered anymore and is reported as late.
 //!
-//! * [`ReorderBuffer`] — the per-event form: holds back events inside a
-//!   bounded *slack* window and releases them in timestamp order. An event
-//!   arriving more than `slack` time units behind the stream's high-water
-//!   mark cannot be ordered anymore and is reported as late.
-//! * [`ColumnarReorder`] — the columnar, multi-source form the scale-out
-//!   runtime puts in front of its ingest: it buffers cheap
-//!   `(Arc<BatchData>, row)` handles (no per-event allocation), tracks one
-//!   high-water mark **per source**, and releases rows up to the *global*
-//!   frontier `min(high-water over sources) − slack`, re-packed into fresh
-//!   time-ordered [`EventBatch`]es so everything downstream keeps the
-//!   sorted-batch invariant and the zero-copy selection-vector fan-out. A
-//!   fully in-order batch that is immediately releasable passes through as
-//!   an `Arc` bump of the original storage — zero copies on the sorted
-//!   fast path.
+//! Rows enter through one admission loop ([`ColumnarReorder::admit`]) that
+//! releases after every accepted row and hands back the **original** row
+//! handles, identities preserved. [`ColumnarReorder::offer_batch_from`]
+//! wraps it for columnar callers: released rows are re-packed into fresh
+//! time-ordered [`EventBatch`]es so everything downstream keeps the
+//! sorted-batch invariant, and a fully in-order batch that is immediately
+//! releasable passes through as an `Arc` bump of the original storage —
+//! zero copies on the sorted fast path.
 //!
 //! Per-source watermarks make multi-source merging exact: an event from
 //! source `s` is late only against *its own* source's high-water mark, while
@@ -32,7 +32,8 @@
 //! an event exactly `slack` behind the high-water mark is still accepted,
 //! and `slack = 0` means "strictly in order" (equal timestamps are fine,
 //! going backwards is not). The addition saturates, so a huge slack can
-//! never overflow into spurious lateness.
+//! never overflow into spurious lateness. Equal timestamps release in
+//! arrival order.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,57 +43,16 @@ use crate::soa::EventBatch;
 use crate::time::Ts;
 use crate::EventRef;
 
-/// Outcome of offering one event to a reorder operator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReorderOutcome {
-    /// The event was accepted; zero or more events became releasable.
-    Accepted,
-    /// The event arrived beyond the slack window and was rejected; the
-    /// caller decides whether to drop it, surface it, or fail.
-    TooLate,
-}
-
-/// Buffers out-of-order events and emits them in timestamp order, tolerating
-/// disorder up to a fixed slack.
-///
-/// A thin per-event facade over a single-source [`ColumnarReorder`] — the
-/// lateness boundary and release semantics live in exactly one place, so
-/// the two operators cannot diverge.
-#[derive(Debug)]
-pub struct ReorderBuffer {
-    inner: ColumnarReorder,
-}
-
-impl ReorderBuffer {
-    /// Creates a buffer tolerating disorder up to `slack` time units.
-    pub fn new(slack: Ts) -> ReorderBuffer {
-        ReorderBuffer { inner: ColumnarReorder::new(slack) }
-    }
-
-    /// Offers one event; releasable events (timestamp at or below the new
-    /// high-water mark minus slack) are appended to `out` in order.
-    ///
-    /// Rejects exactly when `ts + slack < high_water` (saturating), so an
-    /// event exactly `slack` late is still accepted and `slack = 0` accepts
-    /// only non-decreasing timestamps.
-    pub fn offer(&mut self, event: EventRef, out: &mut Vec<EventRef>) -> ReorderOutcome {
-        self.inner.offer_from(0, event, out)
-    }
-
-    /// Releases everything still pending, in order (end of stream).
-    pub fn flush(&mut self, out: &mut Vec<EventRef>) {
-        self.inner.flush_events(out);
-    }
-
-    /// Events currently held back.
-    pub fn pending_len(&self) -> usize {
-        self.inner.pending_len()
-    }
-
-    /// Events rejected as too late so far.
-    pub fn late_count(&self) -> u64 {
-        self.inner.late_count()
-    }
+/// Rows handled by one [`ColumnarReorder::admit`] call.
+#[derive(Debug, Default)]
+pub struct Admitted {
+    /// Released rows in timestamp order: the offered handles themselves
+    /// (and any earlier ones that were pending), nothing copied.
+    pub released: Vec<EventRef>,
+    /// Rows rejected as too late, in arrival order. Counted in
+    /// [`ColumnarReorder::late_count`]; the caller applies its lateness
+    /// policy (drop, dead-letter, error).
+    pub late: Vec<EventRef>,
 }
 
 /// Rows released by one [`ColumnarReorder::offer_batch_from`] call.
@@ -109,10 +69,6 @@ pub struct BatchRelease {
 }
 
 impl BatchRelease {
-    fn empty() -> BatchRelease {
-        BatchRelease { batches: Vec::new(), late: Vec::new() }
-    }
-
     /// Total rows across the released batches.
     pub fn released_rows(&self) -> usize {
         self.batches.iter().map(EventBatch::len).sum()
@@ -135,15 +91,15 @@ pub struct ReorderStats {
     pub frontier: Ts,
 }
 
-/// Columnar, multi-source reordering operator: accepts batches whose rows
-/// are in **arrival order**, buffers row handles within a slack window, and
-/// releases time-ordered batches as the per-source watermarks advance.
+/// Columnar, multi-source reordering operator: accepts rows in **arrival
+/// order** (event handles or whole batches), buffers row handles within a
+/// slack window, and releases them in time order as the per-source
+/// watermarks advance.
 ///
 /// One high-water mark is kept per source; an event is late only against
 /// its own source's mark (`ts + slack < high_water[source]`, saturating),
 /// while rows release once they fall at or below the global frontier
-/// `min(high_water) − slack`. With a single source this is exactly
-/// [`ReorderBuffer`] over batches.
+/// `min(high_water) − slack`.
 #[derive(Debug)]
 pub struct ColumnarReorder {
     slack: Ts,
@@ -217,47 +173,53 @@ impl ColumnarReorder {
         None
     }
 
-    /// Offers one event from `source`; releasable events are appended to
-    /// `out` in timestamp order. The record-path twin of
-    /// [`ColumnarReorder::offer_batch_from`] — both feed one pending set,
-    /// so the two granularities may be mixed freely.
-    pub fn offer_from(
-        &mut self,
-        source: usize,
-        event: EventRef,
-        out: &mut Vec<EventRef>,
-    ) -> ReorderOutcome {
-        let ts = event.ts();
-        if ts.saturating_add(self.slack) < self.high_water[source] {
-            self.late += 1;
-            return ReorderOutcome::TooLate;
+    /// Admits rows from `source` in arrival order — the one admission loop
+    /// behind both ingest granularities. Each row is judged against the
+    /// source's high-water mark as it stands after the rows before it; an
+    /// accepted row joins the pending set and everything at or below the
+    /// updated frontier releases at once, so a row never waits longer than
+    /// the slack requires.
+    pub fn admit(&mut self, source: usize, rows: impl IntoIterator<Item = EventRef>) -> Admitted {
+        let mut out = Admitted::default();
+        for event in rows {
+            let ts = event.ts();
+            if ts.saturating_add(self.slack) < self.high_water[source] {
+                self.late += 1;
+                out.late.push(event);
+                continue;
+            }
+            self.high_water[source] = self.high_water[source].max(ts);
+            self.arrivals += 1;
+            self.pending.insert((ts, self.arrivals), event);
+            self.buffered_peak = self.buffered_peak.max(self.pending.len());
+            let frontier = self.frontier();
+            while let Some(entry) = self.pending.first_entry() {
+                if entry.key().0 > frontier {
+                    break;
+                }
+                out.released.push(entry.remove());
+            }
         }
-        self.high_water[source] = self.high_water[source].max(ts);
-        self.arrivals += 1;
-        self.pending.insert((ts, self.arrivals), event);
-        self.buffered_peak = self.buffered_peak.max(self.pending.len());
-        self.release_into(out);
-        ReorderOutcome::Accepted
+        out
     }
 
-    /// Offers one arrival-order batch from `source`; returns the rows that
-    /// became releasable (re-packed into time-ordered batches) and the rows
-    /// rejected as late.
+    /// Offers one arrival-order batch from `source` through
+    /// [`ColumnarReorder::admit`]; returns the rows that became releasable
+    /// (re-packed into time-ordered batches) and the rows rejected as late.
     ///
     /// Fast path: when nothing is pending and the offered batch is already
     /// time-ordered and immediately releasable in full (its last row is at
     /// or below the updated global frontier), the original batch is
     /// returned as-is — one `Arc` bump, zero copies.
     pub fn offer_batch_from(&mut self, source: usize, batch: &EventBatch) -> BatchRelease {
-        if batch.is_empty() {
-            return BatchRelease::empty();
-        }
         let ts_col = batch.ts_column();
+        let (Some(&first), Some(&last)) = (ts_col.first(), ts_col.last()) else {
+            return BatchRelease { batches: Vec::new(), late: Vec::new() };
+        };
         if self.pending.is_empty()
             && batch.is_sorted()
-            && ts_col[0].saturating_add(self.slack) >= self.high_water[source]
+            && first.saturating_add(self.slack) >= self.high_water[source]
         {
-            let last = *ts_col.last().expect("non-empty batch");
             let hw = self.high_water[source].max(last);
             let frontier = self
                 .high_water
@@ -272,38 +234,15 @@ impl ColumnarReorder {
                 return BatchRelease { batches: vec![batch.clone()], late: Vec::new() };
             }
         }
-        let mut late = Vec::new();
-        for (row, &ts) in ts_col.iter().enumerate() {
-            if ts.saturating_add(self.slack) < self.high_water[source] {
-                self.late += 1;
-                late.push(batch.event(row));
-                continue;
-            }
-            self.high_water[source] = self.high_water[source].max(ts);
-            self.arrivals += 1;
-            self.pending.insert((ts, self.arrivals), batch.event(row));
-        }
-        self.buffered_peak = self.buffered_peak.max(self.pending.len());
-        let mut released = Vec::new();
-        self.release_into(&mut released);
+        let Admitted { released, late } = self.admit(source, batch.iter());
         BatchRelease { batches: repack(&released), late }
     }
 
     /// Releases everything still pending as time-ordered batches (end of
     /// stream).
     pub fn flush(&mut self) -> Vec<EventBatch> {
-        let mut out = Vec::with_capacity(self.pending.len());
-        self.flush_events(&mut out);
-        repack(&out)
-    }
-
-    /// Releases everything still pending as the **original** row handles,
-    /// appended to `out` in timestamp order — no re-packing, identities
-    /// preserved (the form [`ReorderBuffer::flush`] exposes).
-    pub fn flush_events(&mut self, out: &mut Vec<EventRef>) {
-        while let Some(entry) = self.pending.first_entry() {
-            out.push(entry.remove());
-        }
+        let pending: Vec<EventRef> = std::mem::take(&mut self.pending).into_values().collect();
+        repack(&pending)
     }
 
     /// Rows currently held back.
@@ -332,17 +271,6 @@ impl ColumnarReorder {
             buffered_peak: self.buffered_peak,
             late: self.late,
             frontier: self.frontier(),
-        }
-    }
-
-    fn release_into(&mut self, out: &mut Vec<EventRef>) {
-        let release_upto = self.frontier();
-        while let Some(entry) = self.pending.first_entry() {
-            if entry.key().0 <= release_upto {
-                out.push(entry.remove());
-            } else {
-                break;
-            }
         }
     }
 
@@ -450,122 +378,119 @@ mod tests {
     use super::*;
     use crate::event::stock;
 
-    fn drain(rb: &mut ReorderBuffer, events: Vec<EventRef>) -> (Vec<EventRef>, u64) {
-        let mut out = Vec::new();
-        for e in events {
-            rb.offer(e, &mut out);
-        }
-        rb.flush(&mut out);
-        (out, rb.late_count())
+    /// Stock events at the given timestamps; field 0 is the arrival index.
+    fn events_at(ts: &[Ts]) -> Vec<EventRef> {
+        ts.iter().enumerate().map(|(i, t)| stock(*t, i as i64, "A", 1.0, 1)).collect()
+    }
+
+    fn ts_of(events: &[EventRef]) -> Vec<Ts> {
+        events.iter().map(|e| e.ts()).collect()
+    }
+
+    fn flushed_ts(cr: &mut ColumnarReorder) -> Vec<Ts> {
+        cr.flush().iter().flat_map(|b| b.ts_column().iter().copied()).collect()
     }
 
     #[test]
     fn reorders_within_slack() {
-        let mut rb = ReorderBuffer::new(5);
-        let events = vec![
-            stock(3, 0, "A", 1.0, 1),
-            stock(1, 1, "A", 1.0, 1), // 2 behind: within slack
-            stock(7, 2, "A", 1.0, 1),
-            stock(5, 3, "A", 1.0, 1),
-            stock(12, 4, "A", 1.0, 1),
-        ];
-        let (out, late) = drain(&mut rb, events);
-        let ts: Vec<_> = out.iter().map(|e| e.ts()).collect();
+        let mut cr = ColumnarReorder::new(5);
+        // 1 is 2 behind the high-water mark 3: within slack.
+        let admitted = cr.admit(0, events_at(&[3, 1, 7, 5, 12]));
+        assert!(admitted.late.is_empty());
+        let mut ts = ts_of(&admitted.released);
+        ts.extend(flushed_ts(&mut cr));
         assert_eq!(ts, vec![1, 3, 5, 7, 12]);
-        assert_eq!(late, 0);
+        assert_eq!(cr.late_count(), 0);
     }
 
     #[test]
     fn rejects_events_beyond_slack() {
-        let mut rb = ReorderBuffer::new(3);
-        let mut out = Vec::new();
-        rb.offer(stock(10, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(rb.offer(stock(2, 1, "A", 1.0, 1), &mut out), ReorderOutcome::TooLate);
-        assert_eq!(rb.late_count(), 1);
-        // An event exactly at the slack boundary is still accepted.
-        assert_eq!(rb.offer(stock(7, 2, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
+        let mut cr = ColumnarReorder::new(3);
+        let admitted = cr.admit(0, events_at(&[10, 2, 7]));
+        assert_eq!(ts_of(&admitted.late), vec![2]);
+        assert_eq!(cr.late_count(), 1);
+        // 7 is exactly at the slack boundary and still accepted.
+        assert_eq!(ts_of(&admitted.released), vec![7]);
+    }
+
+    #[test]
+    fn zero_slack_passes_ordered_streams_through() {
+        let mut cr = ColumnarReorder::new(0);
+        let admitted = cr.admit(0, events_at(&[1, 2, 3, 4, 5]));
+        assert_eq!(ts_of(&admitted.released), vec![1, 2, 3, 4, 5]);
+        assert_eq!(cr.late_count(), 0);
+        assert_eq!(cr.buffered_peak(), 1);
     }
 
     #[test]
     fn boundary_exactly_slack_late_is_accepted() {
         // high_water = 100, slack = 7: ts 93 is exactly slack late and must
         // be accepted; ts 92 is one past and must be rejected.
-        let mut rb = ReorderBuffer::new(7);
-        let mut out = Vec::new();
-        rb.offer(stock(100, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(rb.offer(stock(93, 1, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.offer(stock(92, 2, "A", 1.0, 1), &mut out), ReorderOutcome::TooLate);
-        assert_eq!(rb.late_count(), 1);
+        let mut cr = ColumnarReorder::new(7);
+        let admitted = cr.admit(0, events_at(&[100, 93, 92]));
+        assert_eq!(ts_of(&admitted.late), vec![92]);
+        assert_eq!(ts_of(&admitted.released), vec![93], "frontier 100-7=93");
+        assert_eq!(cr.late_count(), 1);
     }
 
     #[test]
     fn zero_slack_means_strictly_in_order() {
-        // slack = 0: equal timestamps are fine, going backwards is late.
-        let mut rb = ReorderBuffer::new(0);
-        let mut out = Vec::new();
-        assert_eq!(rb.offer(stock(5, 0, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.offer(stock(5, 1, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.offer(stock(4, 2, "A", 1.0, 1), &mut out), ReorderOutcome::TooLate);
-        assert_eq!(rb.offer(stock(6, 3, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.late_count(), 1);
-        // In-order events release immediately at zero slack.
-        let ts: Vec<_> = out.iter().map(|e| e.ts()).collect();
-        assert_eq!(ts, vec![5, 5, 6]);
+        // slack = 0: equal timestamps are fine, going backwards is late, and
+        // in-order rows release immediately.
+        let mut cr = ColumnarReorder::new(0);
+        let admitted = cr.admit(0, events_at(&[5, 5, 4, 6]));
+        assert_eq!(ts_of(&admitted.late), vec![4]);
+        assert_eq!(ts_of(&admitted.released), vec![5, 5, 6]);
+        assert_eq!(cr.late_count(), 1);
+        assert_eq!(cr.pending_len(), 0);
     }
 
     #[test]
     fn huge_slack_never_overflows_into_lateness() {
         // ts + slack would overflow u64; saturation must keep the event
         // acceptable instead of wrapping around into spurious lateness.
-        let mut rb = ReorderBuffer::new(Ts::MAX);
-        let mut out = Vec::new();
-        rb.offer(stock(Ts::MAX - 1, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(rb.offer(stock(0, 1, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        let mut rb = ReorderBuffer::new(10);
-        rb.offer(stock(Ts::MAX, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(
-            rb.offer(stock(Ts::MAX - 10, 1, "A", 1.0, 1), &mut out),
-            ReorderOutcome::Accepted
-        );
-        assert_eq!(
-            rb.offer(stock(Ts::MAX - 11, 2, "A", 1.0, 1), &mut out),
-            ReorderOutcome::TooLate
-        );
+        let mut cr = ColumnarReorder::new(Ts::MAX);
+        assert!(cr.admit(0, events_at(&[Ts::MAX - 1, 0])).late.is_empty());
+        let mut cr = ColumnarReorder::new(10);
+        let admitted = cr.admit(0, events_at(&[Ts::MAX, Ts::MAX - 10, Ts::MAX - 11]));
+        assert_eq!(ts_of(&admitted.late), vec![Ts::MAX - 11]);
     }
 
     #[test]
     fn releases_eagerly_as_watermark_advances() {
-        let mut rb = ReorderBuffer::new(2);
-        let mut out = Vec::new();
-        rb.offer(stock(1, 0, "A", 1.0, 1), &mut out);
-        rb.offer(stock(2, 1, "A", 1.0, 1), &mut out);
-        assert!(out.is_empty(), "nothing releasable before watermark advances");
-        rb.offer(stock(6, 2, "A", 1.0, 1), &mut out);
-        let ts: Vec<_> = out.iter().map(|e| e.ts()).collect();
-        assert_eq!(ts, vec![1, 2], "events at or below 6-2=4 release");
-        assert_eq!(rb.pending_len(), 1);
+        let mut cr = ColumnarReorder::new(2);
+        assert!(cr.admit(0, events_at(&[1, 2])).released.is_empty(), "frontier still 0");
+        let admitted = cr.admit(0, events_at(&[6]));
+        assert_eq!(ts_of(&admitted.released), vec![1, 2], "events at or below 6-2=4 release");
+        assert_eq!(cr.pending_len(), 1);
+        // Release runs after every accepted row, not once per call: the
+        // pending set never holds rows the frontier already passed.
+        let mut cr = ColumnarReorder::new(1);
+        let admitted = cr.admit(0, events_at(&[1, 2, 3, 4, 5]));
+        assert_eq!(ts_of(&admitted.released), vec![1, 2, 3, 4]);
+        assert_eq!(cr.buffered_peak(), 2);
     }
 
     #[test]
     fn equal_timestamps_release_in_arrival_order() {
-        let mut rb = ReorderBuffer::new(1);
-        let a = stock(5, 10, "A", 1.0, 1);
-        let b = stock(5, 20, "A", 2.0, 1);
-        let mut out = Vec::new();
-        rb.offer(a, &mut out);
-        rb.offer(b, &mut out);
-        rb.flush(&mut out);
-        assert_eq!(out[0].value(0).as_i64().unwrap(), 10);
-        assert_eq!(out[1].value(0).as_i64().unwrap(), 20);
+        let mut cr = ColumnarReorder::new(1);
+        let admitted = cr.admit(0, events_at(&[5, 5, 7]));
+        let ids: Vec<i64> =
+            admitted.released.iter().map(|e| e.value(0).as_i64().unwrap()).collect();
+        assert_eq!(ids, vec![0, 1]);
     }
 
     #[test]
-    fn zero_slack_passes_ordered_streams_through() {
-        let mut rb = ReorderBuffer::new(0);
-        let events: Vec<_> = (1..6).map(|t| stock(t, t as i64, "A", 1.0, 1)).collect();
-        let (out, late) = drain(&mut rb, events);
-        assert_eq!(out.len(), 5);
-        assert_eq!(late, 0);
+    fn admit_releases_the_offered_handles() {
+        // No copies on the record path: released handles keep the identity
+        // of the rows offered, across calls.
+        let mut cr = ColumnarReorder::new(3);
+        let first = events_at(&[4, 2]);
+        let second = events_at(&[9]);
+        cr.admit(0, first.iter().cloned());
+        let admitted = cr.admit(0, second.iter().cloned());
+        let ids: Vec<u64> = admitted.released.iter().map(EventRef::identity).collect();
+        assert_eq!(ids, vec![first[1].identity(), first[0].identity()]);
     }
 
     // --- ColumnarReorder ---
@@ -702,10 +627,7 @@ mod tests {
         let ea = Event::builder(sa, 1).value(7i64).build_ref().unwrap();
         let eb = Event::builder(sb, 2).value("seven").build_ref().unwrap();
         let mut cr = ColumnarReorder::new(10);
-        let mut out = Vec::new();
-        cr.offer_from(0, ea, &mut out);
-        cr.offer_from(0, eb, &mut out);
-        assert!(out.is_empty());
+        assert!(cr.admit(0, [ea, eb]).released.is_empty());
         let batches = cr.flush();
         assert_eq!(batches.len(), 2, "incompatible schemas must not share a batch");
         assert_eq!(batches[0].ts_column(), &[1]);
@@ -758,9 +680,7 @@ mod tests {
         cr.offer_batch_from(1, &batch_of(&[2]));
         cr.offer_batch_from(0, &batch_of(&[0])); // late: counted
                                                  // Equal-timestamp entries check the arrival tiebreak survives.
-        let mut out = Vec::new();
-        cr.offer_from(0, stock(5, 99, "B", 9.0, 9), &mut out);
-        assert!(out.is_empty());
+        assert!(cr.admit(0, [stock(5, 99, "B", 9.0, 9)]).released.is_empty());
 
         let mut w = SnapshotWriter::new();
         cr.write_snapshot(&mut w);
@@ -778,9 +698,7 @@ mod tests {
         assert_eq!(back.pending_len(), cr.pending_len());
         // Both drain identically — same order, same row contents.
         let drain = |c: &mut ColumnarReorder| {
-            let mut out = Vec::new();
-            c.flush_events(&mut out);
-            out.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+            c.flush().iter().flat_map(EventBatch::iter).map(|e| e.to_string()).collect::<Vec<_>>()
         };
         assert_eq!(drain(&mut back), drain(&mut cr));
     }
@@ -809,13 +727,11 @@ mod tests {
     #[test]
     fn mixed_granularity_shares_one_pending_set() {
         let mut cr = ColumnarReorder::new(3);
-        let mut out = Vec::new();
-        assert_eq!(cr.offer_from(0, stock(4, 0, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
+        assert!(cr.admit(0, [stock(4, 0, "A", 1.0, 1)]).released.is_empty());
         let r = cr.offer_batch_from(0, &batch_of(&[2, 8]));
         // Frontier 8-3=5 releases the record-path row (4) and the batch row
         // (2) interleaved in time order.
         assert_eq!(released_ts(&r), vec![2, 4]);
-        assert!(out.is_empty());
         assert_eq!(cr.pending_len(), 1);
     }
 

@@ -12,13 +12,13 @@
 //! payload      one zstream_events::Snapshot stream:
 //!   checkpoint sequence  u64
 //!   CONFIG   fingerprint of the producing configuration (validated on
-//!            restore: workers, batch size, heartbeat interval, slack,
-//!            sources, lateness policy), the home-shard rotation counter,
-//!            and the **live registry**: one entry per registry slot —
-//!            tombstones included — carrying the live slots' pause flag,
-//!            resolved route, and query shape
-//!   RUNTIME  watermark, per-shard sent-watermarks, per-slot dropped
-//!            counts, heartbeat phase, per-slot aggregated metrics, dead
+//!            restore: workers, batch size, slack, sources, lateness
+//!            policy), the home-shard rotation counter, and the **live
+//!            registry**: one entry per registry slot — tombstones
+//!            included — carrying the live slots' pause flag, resolved
+//!            route, and query shape
+//!   RUNTIME  watermark, per-shard reserved slots, per-slot dropped
+//!            counts, one reserved slot, per-slot aggregated metrics, dead
 //!            letters, per-source last-chunk digests (the
 //!            idempotent-replay guard)
 //!   MERGE    per-shard frontier watermarks + buffered matches
@@ -27,6 +27,14 @@
 //!            length-prefixed self-contained engine blob
 //!   END      closing tag
 //! ```
+//!
+//! Three v2 slots are **reserved**: they held the retired heartbeat
+//! protocol's state — the fingerprint's heartbeat interval (written as 8,
+//! the old default, so an older build with default settings still restores
+//! a newer file), the RUNTIME section's per-shard sent-watermarks and its
+//! heartbeat phase (both written as zeros). Restore decodes them and checks
+//! their structure (one sent-watermark per worker), then ignores their
+//! values.
 //!
 //! ## Corruption vs. drift
 //!
@@ -142,7 +150,6 @@ impl fmt::Display for CheckpointId {
 pub(crate) struct Fingerprint {
     pub workers: usize,
     pub batch_size: usize,
-    pub heartbeat_interval: usize,
     pub slack: Option<Ts>,
     pub sources: usize,
     pub lateness: LatenessPolicy,
@@ -155,6 +162,10 @@ fn lateness_tag(p: LatenessPolicy) -> u8 {
         LatenessPolicy::Strict => 2,
     }
 }
+
+/// The reserved fingerprint slot's value: the retired heartbeat interval's
+/// default, so older builds with default settings accept newer files.
+const RESERVED_INTERVAL: u64 = 8;
 
 /// Serializes the configuration fingerprint and the live registry.
 /// Everything that shapes what a shard's state *means* is covered — worker
@@ -170,7 +181,7 @@ pub(crate) fn write_fingerprint(
 ) {
     w.u64(fp.workers as u64);
     w.u64(fp.batch_size as u64);
-    w.u64(fp.heartbeat_interval as u64);
+    w.u64(RESERVED_INTERVAL);
     w.opt_u64(fp.slack);
     w.u64(fp.sources as u64);
     w.u8(lateness_tag(fp.lateness));
@@ -242,7 +253,7 @@ pub(crate) fn check_fingerprint(
     }
     expect("workers", r.u64()?, fp.workers as u64)?;
     expect("batch_size", r.u64()?, fp.batch_size as u64)?;
-    expect("heartbeat_interval", r.u64()?, fp.heartbeat_interval as u64)?;
+    r.u64()?; // reserved (see the module docs)
     expect("slack", r.opt_u64()?, fp.slack)?;
     expect("sources", r.u64()?, fp.sources as u64)?;
     expect("lateness policy", r.u8()?, lateness_tag(fp.lateness))?;

@@ -67,11 +67,12 @@
 //!   the merge frontier is driven by the reorder release frontier
 //!   `min(per-source high-water) − slack` instead of raw arrival order.
 //! * **Watermarks ride traffic** — shards learn the stream watermark from
-//!   their own batch messages; shards a chunk skips get an explicit
-//!   heartbeat only every [`RuntimeBuilder::heartbeat_interval`] chunks
-//!   (idle shards cost ~nothing, and nothing is broadcast per chunk), and
-//!   [`Runtime::poll`] heartbeats lagging shards on demand so finality
-//!   never waits for more ingest.
+//!   their own batch messages and echo it with their output; shards a chunk
+//!   skips get no message at all. The router counts, per shard, the
+//!   traffic messages not yet answered, and advances every shard with none
+//!   outstanding to the stream watermark itself — idle shards cost nothing,
+//!   nothing is broadcast per chunk, and [`Runtime::poll`] finalizes
+//!   matches without waiting for more ingest.
 //! * **Ordered merge** — shards report matches asynchronously; the merger
 //!   restores a deterministic total order (composite end-timestamp, then
 //!   shard id, then per-shard sequence) and releases a match only once

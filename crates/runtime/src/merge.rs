@@ -9,6 +9,12 @@
 //! shards force an evaluation round per batch). A buffered match is
 //! therefore final once its end timestamp is strictly below the minimum
 //! watermark across live shards.
+//!
+//! A shard that gets no traffic echoes nothing, so the merger also
+//! counts, per shard, the traffic messages it has not yet answered. A shard with none outstanding has evaluated every event sent
+//! to it and can produce later matches only from later events, so its
+//! watermark may move straight to the stream watermark
+//! ([`OrderedMerge::advance_idle`]) — no round trip to an idle shard.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,6 +74,10 @@ pub(crate) struct OrderedMerge {
     /// Per-shard watermark; `None` once the shard has finished (treated as
     /// an infinite watermark).
     watermarks: Vec<Option<Ts>>,
+    /// Per-shard traffic messages sent but not yet answered with an
+    /// `Output`.
+    // zlint::allow(snapshot, "in-flight traffic only: a restored runtime has none, so restore starts every count at zero")
+    outstanding: Vec<u32>,
 }
 
 impl std::fmt::Debug for OrderedMerge {
@@ -75,13 +85,18 @@ impl std::fmt::Debug for OrderedMerge {
         f.debug_struct("OrderedMerge")
             .field("pending", &self.heap.len())
             .field("watermarks", &self.watermarks)
+            .field("outstanding", &self.outstanding)
             .finish()
     }
 }
 
 impl OrderedMerge {
     pub fn new(shards: usize) -> OrderedMerge {
-        OrderedMerge { heap: BinaryHeap::new(), watermarks: vec![Some(0); shards] }
+        OrderedMerge {
+            heap: BinaryHeap::new(),
+            watermarks: vec![Some(0); shards],
+            outstanding: vec![0; shards],
+        }
     }
 
     /// Buffers one match.
@@ -93,6 +108,31 @@ impl OrderedMerge {
     pub fn advance(&mut self, shard: usize, ts: Ts) {
         if let Some(w) = &mut self.watermarks[shard] {
             *w = (*w).max(ts);
+        }
+    }
+
+    /// Records one traffic message sent to `shard`; the shard answers it
+    /// with exactly one `Output` ([`OrderedMerge::answered`]).
+    pub fn dispatched(&mut self, shard: usize) {
+        self.outstanding[shard] += 1;
+    }
+
+    /// Folds one `Output` answer: `shard` has processed every event up to
+    /// `ts`.
+    pub fn answered(&mut self, shard: usize, ts: Ts) {
+        self.outstanding[shard] -= 1;
+        self.advance(shard, ts);
+    }
+
+    /// Advances every live shard with nothing outstanding to the stream
+    /// watermark `ts`. The caller guarantees that every event it sends
+    /// from now on is at or after `ts`; a shard that has answered all it
+    /// was sent can then only produce matches ending at or after `ts`.
+    pub fn advance_idle(&mut self, ts: Ts) {
+        for (w, n) in self.watermarks.iter_mut().zip(&self.outstanding) {
+            if let (Some(w), 0) = (w, n) {
+                *w = (*w).max(ts);
+            }
         }
     }
 
@@ -192,7 +232,7 @@ impl OrderedMerge {
             let m = RuntimeMatch { query: QueryId(query), shard, seq, record };
             heap.push(Reverse(Entry { key: m.key(), m }));
         }
-        Ok(OrderedMerge { heap, watermarks })
+        Ok(OrderedMerge { heap, watermarks, outstanding: vec![0; shards] })
     }
 
     /// Pops every final match, in `(end_ts, shard, seq)` order.
@@ -293,6 +333,29 @@ mod tests {
         // Purging a query with nothing buffered is a no-op.
         merge.purge_query(QueryId(1));
         assert_eq!(merge.pending(), 0);
+    }
+
+    #[test]
+    fn idle_shard_does_not_hold_the_frontier() {
+        let mut merge = OrderedMerge::new(2);
+        merge.dispatched(0);
+        merge.dispatched(1);
+        merge.offer(m(0, 0, 0, 5));
+        merge.answered(0, 10);
+        merge.advance_idle(10);
+        assert!(merge.drain_ready().is_empty(), "shard 1 still owes an answer");
+        assert_eq!(merge.frontier(), Some(0));
+        // Once its last Output is drained, shard 1 stops holding the
+        // frontier at its echoed watermark: nothing outstanding means it
+        // can only match later events.
+        merge.answered(1, 3);
+        merge.advance_idle(10);
+        assert_eq!(merge.frontier(), Some(10));
+        assert_eq!(merge.drain_ready().len(), 1);
+        // A shard with traffic in flight keeps its echoed watermark.
+        merge.dispatched(0);
+        merge.advance_idle(20);
+        assert_eq!(merge.frontier(), Some(10));
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::thread::JoinHandle;
 
 use zstream_core::{CompiledParts, EngineMetrics};
 use zstream_events::{
-    repack_events, split_batch_rows, split_by_field, BatchRelease, ColumnarReorder, EventBatch,
-    EventRef, Record, ReorderOutcome, Snapshot, SnapshotReader, SnapshotWriter, Ts,
+    repack_events, split_batch_rows, split_by_field, ColumnarReorder, EventBatch, EventRef, Record,
+    Snapshot, SnapshotReader, SnapshotWriter, Ts,
 };
 use zstream_obs::{labels, Obs, ObsSnapshot, TraceKind};
 
@@ -71,7 +71,6 @@ pub struct RuntimeBuilder {
     workers: usize,
     batch_size: usize,
     channel_capacity: usize,
-    heartbeat_interval: usize,
     slack: Option<Ts>,
     lateness: LatenessPolicy,
     sources: usize,
@@ -85,7 +84,6 @@ impl Default for RuntimeBuilder {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             batch_size: 512,
             channel_capacity: 4,
-            heartbeat_interval: 8,
             slack: None,
             lateness: LatenessPolicy::Drop,
             sources: 1,
@@ -97,8 +95,7 @@ impl Default for RuntimeBuilder {
 
 impl RuntimeBuilder {
     /// Starts from the defaults: one worker per available core, batch size
-    /// 512, four batches of channel slack per shard, a watermark heartbeat
-    /// to idle shards every 8 chunks.
+    /// 512, four batches of channel slack per shard.
     pub fn new() -> RuntimeBuilder {
         RuntimeBuilder::default()
     }
@@ -123,18 +120,6 @@ impl RuntimeBuilder {
     /// behind, [`Runtime::ingest`] blocks instead of buffering further.
     pub fn channel_capacity(mut self, n: usize) -> Self {
         self.channel_capacity = n;
-        self
-    }
-
-    /// How often idle shards hear about watermark progress, in ingested
-    /// chunks (≥ 1). Shards with routed traffic learn the watermark from
-    /// their batch messages (piggybacked); shards a chunk skips get an
-    /// explicit heartbeat only every `n` chunks. Smaller values finalize
-    /// cross-shard matches sooner; larger values cut idle messaging. Matches
-    /// held by a lagging frontier are never lost — [`Runtime::shutdown`]
-    /// finalizes everything.
-    pub fn heartbeat_interval(mut self, n: usize) -> Self {
-        self.heartbeat_interval = n;
         self
     }
 
@@ -209,9 +194,9 @@ impl RuntimeBuilder {
         if self.workers == 0 {
             return Err(RuntimeError::InvalidConfig("workers must be >= 1".into()));
         }
-        if self.batch_size == 0 || self.channel_capacity == 0 || self.heartbeat_interval == 0 {
+        if self.batch_size == 0 || self.channel_capacity == 0 {
             return Err(RuntimeError::InvalidConfig(
-                "batch_size, channel_capacity and heartbeat_interval must be >= 1".into(),
+                "batch_size and channel_capacity must be >= 1".into(),
             ));
         }
         if self.defs.is_empty() {
@@ -283,9 +268,6 @@ impl RuntimeBuilder {
             homes,
             merge,
             batch_size: self.batch_size,
-            heartbeat_interval: self.heartbeat_interval,
-            chunks_since_heartbeat: 0,
-            shard_sent: vec![0; self.workers],
             watermark: 0,
             reorder,
             slack: self.slack,
@@ -305,8 +287,7 @@ impl RuntimeBuilder {
     /// [`Runtime::checkpoint`], instead of starting empty.
     ///
     /// The builder must describe **the same logical deployment** that wrote
-    /// the checkpoint: same worker count, batch size, heartbeat interval,
-    /// slack/sources/lateness, and the checkpoint's **live** queries
+    /// the checkpoint: same worker count, batch size, slack/sources/lateness, and the checkpoint's **live** queries
     /// registered in slot order with compatible partitioning — queries
     /// added by [`Runtime::create`] included, queries removed by
     /// [`Runtime::drop_query`] omitted (their tombstones are re-created
@@ -355,7 +336,6 @@ impl RuntimeBuilder {
         let fp = Fingerprint {
             workers,
             batch_size: self.batch_size,
-            heartbeat_interval: self.heartbeat_interval,
             slack: self.slack,
             sources: self.sources,
             lateness: self.lateness,
@@ -384,15 +364,15 @@ impl RuntimeBuilder {
 
         expect_tag(&mut r, TAG_RUNTIME, "RUNTIME")?;
         let watermark = r.u64()?;
+        // Reserved per-shard slots (see the checkpoint module docs).
         let n = r.len()?;
         if n != workers {
             return Err(RuntimeError::Checkpoint(format!(
                 "checkpoint has {n} shard watermarks, expected {workers}"
             )));
         }
-        let mut shard_sent = Vec::with_capacity(workers);
         for _ in 0..workers {
-            shard_sent.push(r.u64()?);
+            r.u64()?;
         }
         let n = r.len()?;
         if n != queries.len() {
@@ -404,8 +384,7 @@ impl RuntimeBuilder {
         for state in queries.iter_mut() {
             state.dropped = r.u64()?;
         }
-        let chunks_since_heartbeat = usize::try_from(r.u64()?)
-            .map_err(|_| RuntimeError::Checkpoint("heartbeat phase exceeds usize".into()))?;
+        r.u64()?; // reserved
         let n = r.len()?;
         if n != queries.len() {
             return Err(RuntimeError::Checkpoint(format!(
@@ -531,9 +510,6 @@ impl RuntimeBuilder {
             homes,
             merge,
             batch_size: self.batch_size,
-            heartbeat_interval: self.heartbeat_interval,
-            chunks_since_heartbeat,
-            shard_sent,
             watermark,
             reorder,
             slack: self.slack,
@@ -630,12 +606,6 @@ pub struct Runtime {
     homes: usize,
     merge: OrderedMerge,
     batch_size: usize,
-    heartbeat_interval: usize,
-    /// Chunks dispatched since the last idle-shard heartbeat round.
-    chunks_since_heartbeat: usize,
-    /// Last watermark each shard has been told about (piggybacked on its
-    /// traffic or heartbeated); heartbeats are skipped when current.
-    shard_sent: Vec<Ts>,
     watermark: Ts,
     /// The §4.1 reordering stage in front of routing, when
     /// [`RuntimeBuilder::slack`] was set: disordered arrivals buffer here
@@ -898,10 +868,9 @@ impl Runtime {
     /// This is the scale-out fast path: each hash-routed query's key column
     /// is scanned once (memoized symbol digests), shards receive the shared
     /// batch by `Arc` plus a per-query selection vector (no event handles,
-    /// no copies), and only shards owning rows get a message — idle shards
-    /// learn the watermark from periodic heartbeats
-    /// ([`RuntimeBuilder::heartbeat_interval`]) instead of per-chunk
-    /// broadcasts. The caller's batch is the unit of work (one evaluation
+    /// no copies), and only shards owning rows get a message — an idle
+    /// shard's frontier advances router-side once it has answered all its
+    /// traffic. The caller's batch is the unit of work (one evaluation
     /// round per shard); it is not re-chunked to
     /// [`RuntimeBuilder::batch_size`].
     ///
@@ -946,47 +915,40 @@ impl Runtime {
         source: usize,
         batch: &EventBatch,
     ) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        let (release, frontier) = match self.reorder.as_mut() {
-            None => {
-                Self::check_source(source, 1)?;
-                // Hard check, not a debug assert: arrival-order batches are
-                // an ordinary product of the API now (DisorderSpec,
-                // unsorted builders) and must never reach the engines
-                // without a reorder stage in front.
-                if !batch.is_sorted()
-                    || batch.ts_column().first().is_some_and(|first| *first < self.watermark)
-                {
-                    return Err(RuntimeError::InvalidConfig(
-                        "out-of-order columnar ingest requires the reorder stage: \
-                         set RuntimeBuilder::slack(..)"
-                            .into(),
-                    ));
-                }
-                self.record_ingest(source, batch.len());
-                self.dispatch_columns(batch)?;
-                self.drain_replies()?;
-                return Ok(self.emit_ready());
+        let Some(reorder) = self.reorder.as_mut() else {
+            Self::check_source(source, 1)?;
+            // Hard check, not a debug assert: arrival-order batches are
+            // an ordinary product of the API now (DisorderSpec, unsorted
+            // builders) and must never reach the engines without a reorder
+            // stage in front.
+            if !batch.is_sorted()
+                || batch.ts_column().first().is_some_and(|first| *first < self.watermark)
+            {
+                return Err(RuntimeError::InvalidConfig(
+                    "out-of-order columnar ingest requires the reorder stage: \
+                     set RuntimeBuilder::slack(..)"
+                        .into(),
+                ));
             }
-            Some(reorder) => {
-                Self::check_source(source, reorder.num_sources())?;
-                // Borrow note: `check_source` is an associated fn so the
-                // `reorder` borrow stays live across it.
-                if self.lateness == LatenessPolicy::Strict {
-                    if let Some((_, ts, acceptable)) =
-                        reorder.first_late_in(source, batch.ts_column().iter().copied())
-                    {
-                        return Err(RuntimeError::TooLate { source, ts, acceptable });
-                    }
-                }
-                let release = reorder.offer_batch_from(source, batch);
-                (release, reorder.frontier())
-            }
+            self.record_ingest(source, batch.len());
+            self.dispatch_columns(batch)?;
+            self.drain_replies()?;
+            return Ok(self.emit_ready());
         };
+        Self::check_admission(reorder, self.lateness, source, batch.ts_column().iter().copied())?;
+        let release = reorder.offer_batch_from(source, batch);
+        let frontier = reorder.frontier();
         self.record_ingest(source, batch.len());
-        self.record_release(source, &release, frontier);
-        if self.lateness == LatenessPolicy::DeadLetter {
-            self.retain_dead_letters(&release.late);
-        }
+        let newest = release.batches.iter().filter_map(EventBatch::last_ts);
+        let batches = Some(release.batches.len());
+        self.record_release(
+            source,
+            &release.late,
+            release.released_rows(),
+            newest,
+            frontier,
+            batches,
+        );
         for released in &release.batches {
             self.dispatch_columns(released)?;
         }
@@ -1037,73 +999,47 @@ impl Runtime {
         source: usize,
         events: &[EventRef],
     ) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        let (released, late, frontier) = match self.reorder.as_mut() {
-            None => {
-                Self::check_source(source, 1)?;
-                // Hard check mirroring the columnar path: disordered slices
-                // must never reach the engines without a reorder stage.
-                let mut last = self.watermark;
-                for event in events {
-                    if event.ts() < last {
-                        return Err(RuntimeError::InvalidConfig(
-                            "out-of-order ingest requires the reorder stage: \
-                             set RuntimeBuilder::slack(..)"
-                                .into(),
-                        ));
-                    }
-                    last = event.ts();
-                }
-                self.record_ingest(source, events.len());
-                let mut ready = Vec::new();
-                for chunk in events.chunks(self.batch_size) {
-                    self.dispatch(chunk)?;
-                    self.drain_replies()?;
-                    ready.append(&mut self.emit_ready());
-                }
-                return Ok(ready);
-            }
-            Some(reorder) => {
-                Self::check_source(source, reorder.num_sources())?;
-                if self.lateness == LatenessPolicy::Strict {
-                    if let Some((_, ts, acceptable)) =
-                        reorder.first_late_in(source, events.iter().map(|e| e.ts()))
-                    {
-                        return Err(RuntimeError::TooLate { source, ts, acceptable });
-                    }
-                }
-                let mut released = Vec::new();
-                let mut late = Vec::new();
-                for event in events {
-                    let outcome = reorder.offer_from(source, event.clone(), &mut released);
-                    if outcome == ReorderOutcome::TooLate {
-                        late.push(event.clone());
-                    }
-                }
-                (released, late, reorder.frontier())
-            }
-        };
-        self.record_ingest(source, events.len());
-        if !late.is_empty() {
-            self.inst.reorder_late[source].add(late.len() as u64);
-        }
-        if let Some(newest) = released.last() {
-            // Batch-level instruments, mirroring the columnar path: total
-            // released rows, plus one lag observation for the newest row.
-            self.inst.reorder_released_rows.add(released.len() as u64);
-            self.inst.release_lag.observe(frontier.saturating_sub(newest.ts()));
-            self.obs.trace.emit(
-                frontier,
-                None,
-                None,
-                TraceKind::ReorderRelease,
-                format!("rows={}", released.len()),
-            );
-        }
-        if self.lateness == LatenessPolicy::DeadLetter {
-            self.retain_dead_letters(&late);
-        }
         let mut ready = Vec::new();
-        for chunk in released.chunks(self.batch_size) {
+        let Some(reorder) = self.reorder.as_mut() else {
+            Self::check_source(source, 1)?;
+            // Hard check mirroring the columnar path: disordered slices
+            // must never reach the engines without a reorder stage.
+            let mut last = self.watermark;
+            for event in events {
+                if event.ts() < last {
+                    return Err(RuntimeError::InvalidConfig(
+                        "out-of-order ingest requires the reorder stage: \
+                         set RuntimeBuilder::slack(..)"
+                            .into(),
+                    ));
+                }
+                last = event.ts();
+            }
+            self.record_ingest(source, events.len());
+            for chunk in events.chunks(self.batch_size) {
+                self.dispatch(chunk)?;
+                self.drain_replies()?;
+                ready.append(&mut self.emit_ready());
+            }
+            return Ok(ready);
+        };
+        Self::check_admission(reorder, self.lateness, source, events.iter().map(|e| e.ts()))?;
+        // Released handles are the caller's own rows: event identity
+        // survives the reorder stage on this path.
+        let admitted = reorder.admit(source, events.iter().cloned());
+        let frontier = reorder.frontier();
+        self.record_ingest(source, events.len());
+        // One lag observation, for the newest released row.
+        let newest = admitted.released.last().map(|e| e.ts());
+        self.record_release(
+            source,
+            &admitted.late,
+            admitted.released.len(),
+            newest,
+            frontier,
+            None,
+        );
+        for chunk in admitted.released.chunks(self.batch_size) {
             self.dispatch(chunk)?;
             self.drain_replies()?;
             ready.append(&mut self.emit_ready());
@@ -1116,28 +1052,10 @@ impl Runtime {
     }
 
     /// Collects any matches that have become final since the last call,
-    /// without ingesting anything. Non-blocking.
-    ///
-    /// A poll is an explicit finality request, so it also heartbeats any
-    /// live shard still lagging the stream watermark — without this,
-    /// matches could stay buffered until the next ingest-driven heartbeat
-    /// (or shutdown) once the caller stops ingesting. Heartbeats here use a
-    /// non-blocking send: a shard whose input queue is full is skipped and
-    /// caught up on a later poll.
+    /// without ingesting anything. Non-blocking: once the caller stops
+    /// ingesting, polling until the shards have answered their traffic
+    /// finalizes everything the stream watermark allows.
     pub fn poll(&mut self) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        for shard in 0..self.senders.len() {
-            if self.merge.is_finished(shard) || self.shard_sent[shard] >= self.watermark {
-                continue;
-            }
-            // On failure — Full: queued traffic is ahead anyway, retry next
-            // poll; Disconnected: the shard left the pool and the drain
-            // below picks up its premature `Done`.
-            let hb = ShardMsg::Heartbeat { watermark: self.watermark };
-            if self.senders[shard].try_send(hb).is_ok() {
-                self.shard_sent[shard] = self.watermark;
-                self.inst.queue_depth[shard].add(1);
-            }
-        }
         self.drain_replies()?;
         Ok(self.emit_ready())
     }
@@ -1233,7 +1151,6 @@ impl Runtime {
         let fp = Fingerprint {
             workers,
             batch_size: self.batch_size,
-            heartbeat_interval: self.heartbeat_interval,
             slack: self.slack,
             sources: self.sources,
             lateness: self.lateness,
@@ -1241,15 +1158,16 @@ impl Runtime {
         write_fingerprint(&mut w, &fp, self.homes, &self.queries);
         w.u8(TAG_RUNTIME);
         w.u64(self.watermark);
-        w.len(self.shard_sent.len());
-        for ts in &self.shard_sent {
-            w.u64(*ts);
+        // Reserved slots (see the checkpoint module docs).
+        w.len(workers);
+        for _ in 0..workers {
+            w.u64(0);
         }
         w.len(self.queries.len());
         for state in &self.queries {
             w.u64(state.dropped);
         }
-        w.u64(self.chunks_since_heartbeat as u64);
+        w.u64(0); // reserved
         w.len(self.queries.len());
         for state in &self.queries {
             state.metrics.write_snapshot(&mut w);
@@ -1338,8 +1256,11 @@ impl Runtime {
             if !self.merge.is_finished(shard) {
                 // A send failure means the shard just left the pool on the
                 // failure path; its premature `Done` is (or will be) in the
-                // reply queue and the loop below accounts for it.
-                let _ = tx.send(ShardMsg::Shutdown);
+                // reply queue and the loop below accounts for it. The final
+                // flush answers with one `Output`, like traffic.
+                if tx.send(ShardMsg::Shutdown).is_ok() {
+                    self.merge.dispatched(shard);
+                }
             }
         }
         while self.merge.finished_count() < workers {
@@ -1404,31 +1325,44 @@ impl Runtime {
         );
     }
 
-    /// Records a columnar reorder-release outcome: late rows attributed
-    /// to the delivering source, released row count, per-batch release
-    /// lag (frontier minus the batch's newest timestamp — how far behind
-    /// the frontier rows leave the buffer), and a trace event.
-    fn record_release(&self, source: usize, release: &BatchRelease, frontier: Ts) {
-        if !release.late.is_empty() {
-            self.inst.reorder_late[source].add(release.late.len() as u64);
+    /// Records a reorder-release outcome, the bookkeeping both ingest
+    /// paths share: late rows attributed to the delivering source (and
+    /// retained under [`LatenessPolicy::DeadLetter`]), released row count,
+    /// release lag (frontier minus `newest` — how far behind the frontier
+    /// rows leave the buffer; one observation per released batch on the
+    /// columnar path, one per call on the record path), and a trace event.
+    fn record_release(
+        &mut self,
+        source: usize,
+        late: &[EventRef],
+        rows: usize,
+        newest: impl IntoIterator<Item = Ts>,
+        frontier: Ts,
+        batches: Option<usize>,
+    ) {
+        if !late.is_empty() {
+            self.inst.reorder_late[source].add(late.len() as u64);
+            if self.lateness == LatenessPolicy::DeadLetter {
+                // Compacted into fresh storage first: a retained raw handle
+                // would pin its entire source batch (every row, every
+                // column) for as long as the dead letter lives, turning a
+                // 0.1% straggler rate into a footprint approaching the
+                // whole stream.
+                self.dead_letters.extend(repack_events(late).iter().flat_map(EventBatch::iter));
+            }
         }
-        let rows = release.released_rows() as u64;
         if rows == 0 {
             return;
         }
-        self.inst.reorder_released_rows.add(rows);
-        for batch in &release.batches {
-            if let Some(last) = batch.last_ts() {
-                self.inst.release_lag.observe(frontier.saturating_sub(last));
-            }
+        self.inst.reorder_released_rows.add(rows as u64);
+        for ts in newest {
+            self.inst.release_lag.observe(frontier.saturating_sub(ts));
         }
-        self.obs.trace.emit(
-            frontier,
-            None,
-            None,
-            TraceKind::ReorderRelease,
-            format!("rows={rows} batches={}", release.batches.len()),
-        );
+        let detail = match batches {
+            Some(n) => format!("rows={rows} batches={n}"),
+            None => format!("rows={rows}"),
+        };
+        self.obs.trace.emit(frontier, None, None, TraceKind::ReorderRelease, detail);
     }
 
     /// Publishes the reorder stage's pressure gauges from its scrape
@@ -1445,6 +1379,7 @@ impl Runtime {
     /// merge-plane gauges (and a trace event when matches emit) on the
     /// way out — every public path that surfaces matches funnels here.
     fn emit_ready(&mut self) -> Vec<RuntimeMatch> {
+        self.merge.advance_idle(self.watermark);
         let out = self.merge.drain_ready();
         self.inst.merge_pending.set(self.merge.pending() as u64);
         let lag = self.merge.frontier().map_or(0, |f| self.watermark.saturating_sub(f));
@@ -1461,16 +1396,23 @@ impl Runtime {
         out
     }
 
-    /// Retains late events for [`Runtime::take_late_events`], compacted
-    /// into fresh storage first — a retained raw handle would pin its
-    /// entire source batch (every row, every column) for as long as the
-    /// dead letter lives, turning a 0.1% straggler rate into a footprint
-    /// approaching the whole stream.
-    fn retain_dead_letters(&mut self, late: &[EventRef]) {
-        if late.is_empty() {
-            return;
+    /// The admission checks both ingest paths run before the reorder stage
+    /// sees a call: the source index, and under [`LatenessPolicy::Strict`]
+    /// the all-or-nothing lateness pre-check (associated fn: callable while
+    /// the reorder stage is borrowed).
+    fn check_admission(
+        reorder: &ColumnarReorder,
+        lateness: LatenessPolicy,
+        source: usize,
+        ts: impl IntoIterator<Item = Ts>,
+    ) -> Result<(), RuntimeError> {
+        Self::check_source(source, reorder.num_sources())?;
+        if lateness == LatenessPolicy::Strict {
+            if let Some((_, ts, acceptable)) = reorder.first_late_in(source, ts) {
+                return Err(RuntimeError::TooLate { source, ts, acceptable });
+            }
         }
-        self.dead_letters.extend(repack_events(late).iter().flat_map(EventBatch::iter));
+        Ok(())
     }
 
     /// Validates an ingest source index against the configured source
@@ -1488,7 +1430,7 @@ impl Runtime {
     /// the key column into per-shard selection vectors (shared by `Arc`
     /// among every query hash-routed on that field); per single-home query,
     /// an `All` selection to its home shard. Shards owning no rows of this
-    /// chunk receive nothing (heartbeats cover their watermark).
+    /// chunk receive nothing (see [`OrderedMerge::advance_idle`]).
     fn dispatch_columns(&mut self, batch: &EventBatch) -> Result<(), RuntimeError> {
         if batch.is_empty() {
             return Ok(());
@@ -1560,7 +1502,6 @@ impl Runtime {
         for (state, d) in self.queries.iter_mut().zip(&drops) {
             state.dropped += d;
         }
-        let mut sent = vec![false; workers];
         for (shard, payload) in per_shard.into_iter().enumerate() {
             let Some(per_query) = payload else { continue };
             let sel_rows: u64 = per_query
@@ -1575,8 +1516,6 @@ impl Runtime {
                 ShardMsg::Columns { watermark: self.watermark, batch: batch.clone(), per_query };
             match self.send_to_shard(shard, msg)? {
                 None => {
-                    self.shard_sent[shard] = self.watermark;
-                    sent[shard] = true;
                     self.obs.trace.emit(
                         self.watermark,
                         Some(shard as u32),
@@ -1599,12 +1538,11 @@ impl Runtime {
                 Some(_) => unreachable!("send_to_shard returns the message it was given"),
             }
         }
-        self.heartbeat_idle(&sent)
+        Ok(())
     }
 
     /// Routes one record-path chunk: per shard, per query, the events it
-    /// owns. Only shards owning events receive a message; idle shards are
-    /// covered by periodic heartbeats.
+    /// owns. Only shards owning events receive a message.
     fn dispatch(&mut self, chunk: &[EventRef]) -> Result<(), RuntimeError> {
         if chunk.is_empty() {
             return Ok(());
@@ -1648,15 +1586,12 @@ impl Runtime {
                 }
             }
         }
-        let mut sent = vec![false; workers];
         for (shard, payload) in per_shard.into_iter().enumerate() {
             let Some(per_query) = payload else { continue };
             let sel_rows: u64 = per_query.iter().map(|events| events.len() as u64).sum();
             let msg = ShardMsg::Batch { watermark: self.watermark, per_query };
             match self.send_to_shard(shard, msg)? {
                 None => {
-                    self.shard_sent[shard] = self.watermark;
-                    sent[shard] = true;
                     self.obs.trace.emit(
                         self.watermark,
                         Some(shard as u32),
@@ -1671,30 +1606,6 @@ impl Runtime {
                     }
                 }
                 Some(_) => unreachable!("send_to_shard returns the message it was given"),
-            }
-        }
-        self.heartbeat_idle(&sent)
-    }
-
-    /// Periodic watermark heartbeat: every `heartbeat_interval` chunks, any
-    /// live shard that saw no traffic and lags the stream watermark gets a
-    /// watermark-only message so the merge frontier keeps moving.
-    fn heartbeat_idle(&mut self, sent: &[bool]) -> Result<(), RuntimeError> {
-        self.chunks_since_heartbeat += 1;
-        if self.chunks_since_heartbeat < self.heartbeat_interval {
-            return Ok(());
-        }
-        self.chunks_since_heartbeat = 0;
-        for (shard, had_traffic) in sent.iter().enumerate() {
-            if *had_traffic
-                || self.merge.is_finished(shard)
-                || self.shard_sent[shard] >= self.watermark
-            {
-                continue;
-            }
-            let msg = ShardMsg::Heartbeat { watermark: self.watermark };
-            if self.send_to_shard(shard, msg)?.is_none() {
-                self.shard_sent[shard] = self.watermark;
             }
         }
         Ok(())
@@ -1716,16 +1627,14 @@ impl Runtime {
             return Ok(Some(msg));
         }
         // Traffic messages are answered with exactly one `Output`, so the
-        // queue-depth gauge pairs this increment with the decrement in
-        // `handle_reply`. Snapshot markers answer on another reply arm and
-        // are not traffic.
-        let traffic = matches!(
-            msg,
-            ShardMsg::Columns { .. } | ShardMsg::Batch { .. } | ShardMsg::Heartbeat { .. }
-        );
+        // merger's outstanding count and the queue-depth gauge pair this
+        // increment with the decrement in `handle_reply`. Snapshot markers
+        // answer on another reply arm and are not traffic.
+        let traffic = matches!(msg, ShardMsg::Columns { .. } | ShardMsg::Batch { .. });
         let msg = match self.senders[shard].send(msg) {
             Ok(()) => {
                 if traffic {
+                    self.merge.dispatched(shard);
                     self.inst.queue_depth[shard].add(1);
                 }
                 return Ok(None);
@@ -1779,7 +1688,7 @@ impl Runtime {
                         self.merge.offer(m);
                     }
                 }
-                self.merge.advance(shard, watermark);
+                self.merge.answered(shard, watermark);
             }
             ShardReply::Done { shard, metrics } => {
                 // The shard left the pool; whatever was still queued to it

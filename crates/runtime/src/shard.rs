@@ -13,11 +13,10 @@
 //! The finality invariant the merger relies on: a traffic message forces an
 //! evaluation round in every engine that received events, so once the shard
 //! echoes watermark `w`, every match it later produces ends at or after
-//! `w`. Idle shards receive no per-chunk messages; the router sends them
-//! periodic [`ShardMsg::Heartbeat`]s instead, which they echo without
-//! evaluating (sound: a shard that received no events since its last round
-//! can only produce future matches from future events, whose timestamps are
-//! at or past the heartbeat watermark).
+//! `w`. Idle shards receive no messages at all: the router advances any
+//! shard that has answered all its traffic to the stream watermark itself
+//! (sound: such a shard can only produce future matches from future
+//! events, whose timestamps are at or past that watermark).
 //!
 //! A panicking engine does not wedge the pool: evaluation runs under
 //! `catch_unwind`, and on panic the shard reports a final
@@ -65,9 +64,6 @@ pub(crate) enum ShardMsg {
     /// One routed record-path batch: per registered query, the events this
     /// shard owns.
     Batch { watermark: Ts, per_query: Vec<Vec<EventRef>> },
-    /// Watermark-only message for idle shards: echo it so the merge
-    /// frontier advances; no evaluation.
-    Heartbeat { watermark: Ts },
     /// Failure injection (test/chaos hook): behave exactly as if an engine
     /// panicked — report a terminal [`ShardReply::Done`] and exit.
     Fail,
@@ -429,11 +425,6 @@ pub(crate) fn run_shard(
                         per_q
                     });
                 if !ok {
-                    return;
-                }
-            }
-            ShardMsg::Heartbeat { watermark } => {
-                if tx.send(ShardReply::Output { shard, watermark, matches: Vec::new() }).is_err() {
                     return;
                 }
             }

@@ -63,8 +63,6 @@ pub mod prelude {
     pub use zstream_core::Statistics;
     /// Convenience constructor for stock-schema events.
     pub use zstream_events::stock;
-    /// Fixed-size batching for the batch-iterator model (§4.3).
-    pub use zstream_events::Batcher;
     /// A primitive event: one timestamp plus a row of typed values.
     pub use zstream_events::Event;
     /// A shared, immutable handle to an [`Event`].

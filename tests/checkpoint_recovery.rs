@@ -583,11 +583,7 @@ fn departed_worker_stays_departed_across_restore() {
     let workers = 4;
     let parts = compile(PARTITIONABLE, 8);
     let partitioning = Partitioning::Field("name".into());
-    let mut builder0 = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder0 = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
     builder0.register(parts.clone(), partitioning.clone());
     let mut runtime = builder0.build().unwrap();
     runtime.inject_worker_failure(1).unwrap();
@@ -602,11 +598,7 @@ fn departed_worker_stays_departed_across_restore() {
     runtime.checkpoint(&mut file).unwrap();
     drop(runtime);
 
-    let mut builder1 = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder1 = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
     builder1.register(parts.clone(), partitioning.clone());
     let mut restored = builder1.restore(&mut file.as_slice()).unwrap();
     assert_eq!(restored.live_workers(), workers - 1, "departed shard must stay departed");

@@ -283,11 +283,7 @@ fn create_after_worker_failure_routes_around_retired_shards() {
     let hash_parts = compile(POOL[2], 8);
     let solo_parts = compile(POOL[3], 8);
 
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
     builder.register(hash_parts, Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
     runtime.inject_worker_failure(dead).unwrap();

@@ -222,6 +222,46 @@ fn stock_workload_disordered_ingest_is_byte_identical() {
     }
 }
 
+/// The record path releases the caller's own handles: with a reorder stage,
+/// every match `ingest` or `poll` returns before shutdown binds only
+/// identities of the ingested events (only the shutdown flush re-packs the
+/// still-pending rows into new storage). Per-call latency attribution by
+/// `identity()` depends on this.
+#[test]
+fn record_ingest_matches_bind_the_ingested_identities() {
+    use std::collections::HashSet;
+    let src = "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 30";
+    let parts = compile(src, 16);
+    let rates: Vec<(&str, f64)> = [("IBM", 1.0), ("Sun", 1.0), ("Oracle", 1.0)].to_vec();
+    let cfg = StockConfig::with_rates(&rates, 600, 5);
+    let events: Vec<EventRef> =
+        StockGenerator::generate_batches(cfg, 64).iter().flat_map(EventBatch::iter).collect();
+    let arrival = DisorderSpec::bounded(40, 3).shuffle_events(&events);
+    let ingested: HashSet<usize> = arrival.iter().map(|e| e.identity() as usize).collect();
+    for workers in [1, 3] {
+        let mut builder = Runtime::builder().workers(workers).batch_size(16).slack(40);
+        let q = builder.register(parts.clone(), Partitioning::Auto("name".into()));
+        let mut runtime = builder.build().unwrap();
+        let mut early = Vec::new();
+        for chunk in arrival.chunks(50) {
+            early.extend(runtime.ingest(chunk).unwrap());
+            early.extend(runtime.poll().unwrap());
+        }
+        let t0 = Instant::now();
+        while early.is_empty() && t0.elapsed() < Duration::from_secs(10) {
+            early.extend(runtime.poll().unwrap());
+            std::thread::yield_now();
+        }
+        assert!(!early.is_empty(), "workers={workers}: no match finalized before shutdown");
+        for m in &early {
+            for id in runtime.record_signature(q, &m.record).into_iter().flatten() {
+                assert!(ingested.contains(&id), "workers={workers}: match binds a copied event");
+            }
+        }
+        runtime.shutdown().unwrap();
+    }
+}
+
 /// Acceptance: same differential guarantee on the web-log workload
 /// (Query 8 shape), which carries equal timestamps — the stable sorted
 /// counterpart is the oracle.
@@ -479,12 +519,8 @@ fn dead_shard_does_not_stall_disordered_finality() {
     let src = "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 12 RETURN A, B, C";
     let parts = compile(src, 8);
     let template = parts.engine().unwrap();
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1)
-        .slack(slack);
+    let mut builder =
+        Runtime::builder().workers(workers).batch_size(16).channel_capacity(2).slack(slack);
     builder.register(parts.clone(), Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -503,8 +539,8 @@ fn dead_shard_does_not_stall_disordered_finality() {
     // Watermark is frontier-driven and must have advanced despite the dead
     // shard: high water 240 minus slack.
     assert_eq!(runtime.watermark(), 240 - slack);
-    // Finality liveness: with heartbeats + polling, matches arrive before
-    // shutdown even though one shard is dead.
+    // Finality liveness: polling alone delivers matches before shutdown
+    // even though one shard is dead.
     let t0 = Instant::now();
     while matches.is_empty() && t0.elapsed() < Duration::from_secs(10) {
         matches.extend(runtime.poll().unwrap());

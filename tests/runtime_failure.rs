@@ -6,9 +6,9 @@
 //! matches still finalize; its metrics are kept; later events routed to it
 //! count as dropped; and `shutdown` completes without signalling or waiting
 //! for the dead worker. Separately, idle shards must not stall finality:
-//! periodic watermark heartbeats stand in for the removed per-chunk
-//! broadcast, so matches become final before shutdown even when only one
-//! shard sees traffic.
+//! the router advances every shard that has answered all its traffic to
+//! the stream watermark, so matches become final before shutdown even when
+//! only one shard sees traffic.
 
 use std::time::{Duration, Instant};
 
@@ -72,11 +72,7 @@ fn failed_worker_leaves_pool_without_wedging_the_watermark() {
 
     let p = parts(8);
     let template = p.engine().unwrap();
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
     let q = builder.register(p.clone(), Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -121,11 +117,7 @@ fn failure_after_traffic_keeps_earlier_matches_and_metrics() {
 
     let p = parts(8);
     let template = p.engine().unwrap();
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
     builder.register(p.clone(), Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -191,15 +183,14 @@ fn losing_every_worker_degrades_gracefully() {
     assert_eq!(report.dropped[q.index()], 25, "post-failure events count as dropped");
 }
 
-/// `poll` must heartbeat lagging idle shards: with the default heartbeat
-/// interval and a single ingested chunk, only polling can advance the idle
-/// shard's watermark — matches may not wait for more ingest or shutdown.
+/// `poll` alone must finalize matches once the busy shard has answered:
+/// after a single ingested chunk, the idle shard has nothing outstanding,
+/// so it must not hold the frontier — matches may not wait for more ingest
+/// or shutdown.
 #[test]
-fn poll_heartbeats_idle_shards_to_finalize_matches() {
+fn poll_finalizes_matches_while_a_shard_is_idle() {
     use zstream::events::EventBatch;
     let p = parts(4);
-    // Default heartbeat_interval (8) — one chunk never triggers the
-    // ingest-driven heartbeat.
     let mut builder = Runtime::builder().workers(2).batch_size(64).channel_capacity(2);
     builder.register(p, Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
@@ -217,13 +208,12 @@ fn poll_heartbeats_idle_shards_to_finalize_matches() {
     drop(runtime);
 }
 
-/// Idle shards must not hold the frontier: with heartbeats on, matches
-/// finalize before shutdown even when every event keys to one shard.
+/// Idle shards must not hold the frontier: matches finalize before
+/// shutdown even when every event keys to one shard.
 #[test]
-fn heartbeats_let_matches_finalize_before_shutdown() {
+fn idle_shards_let_matches_finalize_before_shutdown() {
     let p = parts(4);
-    let mut builder =
-        Runtime::builder().workers(2).batch_size(4).channel_capacity(2).heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(2).batch_size(4).channel_capacity(2);
     builder.register(p, Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -236,7 +226,7 @@ fn heartbeats_let_matches_finalize_before_shutdown() {
         got.extend(runtime.poll().unwrap());
         std::thread::yield_now();
     }
-    assert!(!got.is_empty(), "matches must become final before shutdown via idle-shard heartbeats");
+    assert!(!got.is_empty(), "matches must become final before shutdown despite an idle shard");
     // Dropping without shutdown still stops the workers cleanly.
     drop(runtime);
 }
